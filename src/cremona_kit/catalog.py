@@ -180,9 +180,15 @@ class FiberCenter:
             raise BadInput("center is either a polynomial or infinity")
 
     def key(self):
+        cached = getattr(self, "_key", None)
+        if cached is not None:
+            return cached
         if self.at_infinity:
-            return "inf"
-        return ",".join(self.poly.field.elem_to_str(c) for c in self.poly.coeffs)
+            key = "inf"
+        else:
+            key = ",".join(self.poly.field.elem_to_str(c) for c in self.poly.coeffs)
+        object.__setattr__(self, "_key", key)
+        return key
 
     def degree(self):
         return 1 if self.at_infinity else self.poly.degree
@@ -241,21 +247,6 @@ class SarkisovLink:
             self.link_type == "II"
             and self.source.base_dim == 1
             and self.target.base_dim == 1
-        )
-
-    def orbit_keys(self):
-        return (
-            self.orbit_src.key() if self.orbit_src else None,
-            self.orbit_tgt.key() if self.orbit_tgt else None,
-        )
-
-    def content_key(self):
-        """Identity of the link as data, ignoring endpoint models."""
-        return (
-            self.link_type,
-            self.orbit_keys(),
-            self.center.key() if self.center else None,
-            self.depth,
         )
 
     def __repr__(self):

@@ -3,15 +3,11 @@
 Machine-readable output (JSON, or TSV for the census) goes to stdout and is
 byte-identical across runs for identical invocations; human-readable
 summaries go to stderr.  Exit codes: 0 success, 1 domain error (error JSON
-on stderr), 2 usage error.  The only environment knob is
-CREMONA_KIT_THREADS, a positive integer capping the worker count of
-parallel sweeps (the current sweeps are sequential, so any positive value
-is honored trivially).
+on stderr), 2 usage error.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -37,45 +33,20 @@ def parse_field(name):
     name = name.strip()
     if name in ("Q", "q"):
         return fields.QQ
-    if name and name[0] in "Ff" and name[1:].isdigit():
-        q = int(name[1:])
-        p = _least_prime_factor(q)
-        k = 0
-        qq = q
-        while qq % p == 0 and qq > 1:
-            qq //= p
-            k += 1
-        if qq != 1:
+    if name and name[0] in "Ff" and name[1:].isdecimal():
+        try:
+            q = int(name[1:])
+        except ValueError:  # beyond int()'s digit limit
+            raise BadInput(f"field size with {len(name) - 1} digits is too large")
+        split = fields.prime_power(q)
+        if split is None:
             raise BadInput(f"{q} is not a prime power")
-        if k == 1:
-            return fields.PrimeField(p)
+        p, k = split
         base = fields.PrimeField(p)
+        if k == 1:
+            return base
         return fields.ExtensionField(base, fields.find_irreducible(base, k).coeffs)
     raise BadInput(f"cannot parse field {name!r} (use Q, F2, F4, F101, ...)")
-
-
-def _least_prime_factor(n):
-    if n < 2:
-        raise BadInput(f"{n} is not a prime power")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def thread_cap():
-    raw = os.environ.get("CREMONA_KIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise BadInput("CREMONA_KIT_THREADS must be a positive integer")
-    if cap < 1:
-        raise BadInput("CREMONA_KIT_THREADS must be a positive integer")
-    return cap
 
 
 @dataclass
@@ -85,8 +56,13 @@ class Invocation:
 
 
 def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadInput(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        raise BadInput(f"{path} is not JSON: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +84,6 @@ def cmd_orbit_make(args):
 
 def cmd_orbit_census(args):
     field = parse_field(args.field)
-    thread_cap()
     q = field.size()
     orbs = orbits.enumerate_point_orbits(field, args.size)
     for filt in (orbits.ALL, orbits.GENERAL_POSITION_ONLY):
@@ -122,7 +97,6 @@ def cmd_orbit_census(args):
 
 def cmd_orbit_classify(args):
     field = parse_field(args.field)
-    thread_cap()
     orbs = orbits.enumerate_point_orbits(field, args.size)
     filt = orbits.GENERAL_POSITION_ONLY if args.filter == "gp" else orbits.ALL
     classes = orbits.pgl3_classify(orbs, field, filter=filt)
@@ -316,7 +290,6 @@ def cmd_catalog_validate(args):
 
 def cmd_report_refined(args):
     field = parse_field(args.field)
-    thread_cap()
     report = constructions.refined_target_report(field, args.bound)
     _emit(report.to_json())
     _summary(

@@ -149,19 +149,54 @@ class Rationals(Field):
 QQ = Rationals()
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Miller-Rabin to the first 12 prime bases.  No composite below
+    3.1e23 is a strong pseudoprime to all twelve (Sorenson & Webster,
+    Math. Comp. 2017), so the answer is exact for every machine word."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _iroot(n, k):
+    """Largest r with r**k <= n, by integer Newton iteration from above."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def prime_power(q):
+    """(p, k) with q = p**k and p prime, or None."""
+    for k in range(1, q.bit_length()):
+        p = _iroot(q, k)
+        if p**k == q and _is_prime(p):
+            return p, k
+    return None
 
 
 class PrimeField(Field):
@@ -590,15 +625,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
         return acc
-
-    def shift_compose(self, a):
-        """self(t + a)."""
-        f = self.field
-        out = Poly(f, ())
-        t_plus_a = Poly(f, (a, f.one))
-        for c in reversed(self.coeffs):
-            out = out * t_plus_a + Poly(f, (c,))
-        return out
 
     def pow_mod(self, e, mod):
         f = self.field

@@ -19,7 +19,7 @@ map keeps them in a flagged auxiliary index rather than dropping them.
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ChainBreak, UnresolvedClass
-from .catalog import ConicBundleClassKey, cb_class_key
+from .catalog import HIRZEBRUCH, HIRZEBRUCH_CLASS, ConicBundleClassKey, cb_class_key
 from .errors import NonRational
 from .rewrite import LinkLetter
 
@@ -125,17 +125,21 @@ def _word_chains(w):
         raise ChainBreak("word does not reach its declared target")
 
 
+# (field of the defining orbit, model key) -> class key; model keys spell
+# orbit coefficients without naming the field they lie in
 _CLASS_KEY_CACHE = {}
 
 
 def _class_key(model):
-    mk = model.key()
-    if mk not in _CLASS_KEY_CACHE:
+    if model.kind == HIRZEBRUCH:
+        return HIRZEBRUCH_CLASS
+    ck = (model.orbit.field if model.orbit is not None else None, model.key())
+    if ck not in _CLASS_KEY_CACHE:
         try:
-            _CLASS_KEY_CACHE[mk] = cb_class_key(model)
+            _CLASS_KEY_CACHE[ck] = cb_class_key(model)
         except NonRational as exc:
             raise UnresolvedClass(str(exc))
-    return _CLASS_KEY_CACHE[mk]
+    return _CLASS_KEY_CACHE[ck]
 
 
 def homo_eval(w, delta=16):

@@ -6,13 +6,6 @@ arithmetic is exact.
 """
 
 
-def mat_vec(field, A, v):
-    return [
-        _dot(field, row, v)
-        for row in A
-    ]
-
-
 def _dot(field, row, v):
     acc = field.zero
     for a, b in zip(row, v):

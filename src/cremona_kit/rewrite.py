@@ -16,6 +16,13 @@ into innermost pairs (the N(F, i) bookkeeping); the innermost pair is
 commuted together and cancelled, largest plateaus first.  Anything the
 moves cannot erase is returned as a stuck residual for inspection, never
 silently dropped.
+
+Cost of a reduction: one pass over the word computes every letter's
+center key and the fiber traces.  After that a move costs work near the
+letters it touches: only the marker it leaves is absorbed, and the next
+adjacent-cancel scan covers only the pairs moves have changed since the
+last scan.  The pair search that starts a commutation chain reads the
+center keys of the whole word, once per chain.
 """
 
 from dataclasses import dataclass
@@ -188,6 +195,13 @@ def word_to_json(w):
 
 
 def word_from_json(obj):
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("letters"), list)
+        and isinstance(obj.get("endpoints"), list)
+        and len(obj["endpoints"]) == 2
+    ):
+        raise BadInput("word JSON needs a 'letters' list and two 'endpoints'")
     letters = []
     for item in obj["letters"]:
         if "link" in item:
@@ -310,13 +324,13 @@ def _cancels(a, b):
     """
     if not (isinstance(a, LinkLetter) and isinstance(b, LinkLetter)):
         return False
-    if a.link == b.link and a.exp == -b.exp:
+    if a.exp == -b.exp and a.link == b.link:
         return True
+    # cheapest tests first: most pairs differ in center or depth
+    center = a.center_key()
+    if center is None or center != b.center_key() or a.depth != b.depth:
+        return False
     if not (a.is_cb2() and b.is_cb2()):
-        return False
-    if a.center_key() is None or a.center_key() != b.center_key():
-        return False
-    if a.depth != b.depth:
         return False
     fa, ba = a.fwd_orbit_key(), a.bwd_orbit_key()
     fb, bb = b.fwd_orbit_key(), b.bwd_orbit_key()
@@ -349,74 +363,135 @@ class ReductionResult:
         return [{"move": m[0], "position": m[1]} for m in self.moves]
 
 
+def _center_key(letter):
+    return letter.center_key() if isinstance(letter, LinkLetter) else None
+
+
 def fiber_traces(w):
     """Per-fiber N(F, i) sequences over the word (stack heights)."""
-    stacks = {}
-    heights = {}
-    seqs = {}
-    letters = list(w.letters)
-    keys = sorted(
-        {
-            l.center_key()
-            for l in letters
-            if isinstance(l, LinkLetter) and l.center_key() is not None
-        }
-    )
-    for k in keys:
-        stacks[k] = []
-        heights[k] = 0
-        seqs[k] = [0]
-    for letter in letters:
+    centers = [_center_key(l) for l in w.letters]
+    keys = sorted({k for k in centers if k is not None})
+    stacks = {k: [] for k in keys}
+    seqs = {k: [0] for k in keys}
+    for letter, center in zip(w.letters, centers):
+        if center is not None:
+            st = stacks[center]
+            if st and _cancels(st[-1], letter):
+                st.pop()
+            else:
+                st.append(letter)
         for k in keys:
-            if isinstance(letter, LinkLetter) and letter.center_key() == k:
-                st = stacks[k]
-                if st and _cancels(st[-1], letter):
-                    st.pop()
-                    heights[k] -= 1
-                else:
-                    st.append(letter)
-                    heights[k] += 1
-            seqs[k].append(heights[k])
+            seqs[k].append(len(stacks[k]))
     return seqs
 
 
-def _absorb_markers(letters, moves, observer, endpoints):
-    """Fuse markers into neighbours; trivial relations alpha*beta = gamma."""
-    changed = True
-    while changed:
-        changed = False
+class _Reduction:
+    """The word under reduction, its letters' fiber center keys and the
+    move log.  Every move goes through apply(), which also narrows the
+    window of adjacent pairs that may have started to cancel."""
+
+    def __init__(self, w, observer):
+        self.letters = list(w.letters)
+        self.centers = [_center_key(l) for l in self.letters]
+        self.endpoints = (w.source, w.target)
+        self.observer = observer
+        self.moves = []
+        # Adjacent pairs (k, k+1) with k outside [lo, hi) do not cancel.
+        # _cancels is a pure function of two frozen letters, so only pairs
+        # a move touches can change.
+        self.lo, self.hi = 0, len(self.letters)
+
+    def apply(self, kind, i, stop, new):
+        """Replace letters[i:stop] by new and log the move at position i."""
+        self.letters[i:stop] = new
+        self.centers[i:stop] = [_center_key(l) for l in new]
+        self.lo = min(self.lo, max(i - 1, 0))
+        self.hi = i + len(new) + max(self.hi - stop, 0)
+        move = (kind, i)
+        self.moves.append(move)
+        if self.observer is not None:
+            self.observer(GroupoidWord(tuple(self.letters), *self.endpoints), move)
+
+    def absorb(self, i):
+        """Fuse the marker at i into a neighbour (trivial relations
+        alpha*beta = gamma); False when it has to stay."""
+        letters = self.letters
+        cur = letters[i]
+        if cur.src.key() == cur.tgt.key():
+            self.apply("drop-marker", i, i + 1, ())
+        elif i + 1 < len(letters):
+            nxt = letters[i + 1]
+            if isinstance(nxt, IsoMarker):
+                fused = IsoMarker(cur.src, nxt.tgt)
+            else:
+                fused = _reanchor(nxt, cur.src, nxt.tgt)
+            self.apply("fuse-marker", i, i + 2, (fused,))
+        elif i > 0 and isinstance(letters[i - 1], LinkLetter):
+            prev = letters[i - 1]
+            self.apply("fuse-marker", i - 1, i + 1, (_reanchor(prev, prev.src, cur.tgt),))
+        else:
+            return False
+        return True
+
+    def absorb_all(self):
+        """One left-to-right pass over every marker.  Nothing left of the
+        cursor is ever a marker, so at most a marker that is the whole
+        word survives, and a second pass would change nothing."""
         i = 0
-        while i < len(letters):
-            cur = letters[i]
-            if isinstance(cur, IsoMarker):
-                if cur.src.key() == cur.tgt.key():
-                    del letters[i]
-                    _log(moves, observer, letters, endpoints, ("drop-marker", i))
-                    changed = True
-                    continue
-                if i + 1 < len(letters):
-                    nxt = letters[i + 1]
-                    if isinstance(nxt, IsoMarker):
-                        letters[i : i + 2] = [IsoMarker(cur.src, nxt.tgt)]
-                    else:
-                        letters[i : i + 2] = [_reanchor(nxt, cur.src, nxt.tgt)]
-                    _log(moves, observer, letters, endpoints, ("fuse-marker", i))
-                    changed = True
-                    continue
-                if i > 0:
-                    prev = letters[i - 1]
-                    if isinstance(prev, LinkLetter):
-                        letters[i - 1 : i + 1] = [_reanchor(prev, prev.src, cur.tgt)]
-                        _log(moves, observer, letters, endpoints, ("fuse-marker", i - 1))
-                        changed = True
-                        continue
+        while i < len(self.letters):
+            if not (isinstance(self.letters[i], IsoMarker) and self.absorb(i)):
+                i += 1
+
+    def cancel(self, i):
+        """Replace the pair at i, i + 1, which composes to an isomorphism,
+        by a marker; return the marker's position."""
+        self.apply("cancel", i, i + 2, (IsoMarker(self.letters[i].src, self.letters[i + 1].tgt),))
+        return i
+
+    def adjacent_cancel(self):
+        """Position of the leftmost adjacent pair that cancels, or None."""
+        letters = self.letters
+        for k in range(self.lo, min(self.hi, len(letters) - 1)):
+            if _cancels(letters[k], letters[k + 1]):
+                self.lo = k
+                return k
+        self.lo, self.hi = len(letters), 0
+        return None
+
+    def reducible_pair(self):
+        """Innermost stack-matched (i, j) over fibers in canonical key order.
+
+        Per fiber nothing is popped before the first match, so the
+        innermost pair is the first pair of consecutive letters at that
+        fiber that cancels."""
+        centers = self.centers
+        for key in sorted(set(centers).difference((None,))):
+            i = centers.index(key)
+            for _ in range(centers.count(key) - 1):
+                j = centers.index(key, i + 1)
+                if _cancels(self.letters[i], self.letters[j]):
+                    return i, j
+                i = j
+        return None
+
+    def commute_to(self, i, j):
+        """Commute the letter at i rightwards until it is adjacent to j.
+
+        Returns its final position, or None when a letter in between is
+        not a type II conic-bundle letter at another fiber."""
+        letters, centers = self.letters, self.centers
+        while i + 1 < j:
+            nxt = letters[i + 1]
+            if not (
+                isinstance(nxt, LinkLetter)
+                and nxt.is_cb2()
+                and centers[i + 1] is not None
+                and centers[i + 1] != centers[i]
+            ):
+                return None
+            self.apply("commute", i, i + 2, _swap_adjacent(letters[i], nxt))
             i += 1
-
-
-def _log(moves, observer, letters, endpoints, move):
-    moves.append(move)
-    if observer is not None:
-        observer(GroupoidWord(tuple(letters), *endpoints), move)
+        return i
 
 
 def reduce_relation(w, observer=None, max_steps=None):
@@ -426,6 +501,9 @@ def reduce_relation(w, observer=None, max_steps=None):
     Returns the residual (empty when the input is a consequence of the
     generated relations), the move log, and the fiber traces of the input.
     A word the moves cannot erase comes back with stuck=True.
+
+    The move order is canonical: the leftmost adjacent cancellation, else
+    the innermost pair at the least fiber key.
     """
     if not w.is_relator():
         raise NotARelator(f"endpoints differ: {w.source} vs {w.target}")
@@ -433,76 +511,39 @@ def reduce_relation(w, observer=None, max_steps=None):
     if not verdict and verdict.reason == "chain":
         raise ChainBreak(f"letters do not chain at position {verdict.position}")
     traces = fiber_traces(w)
-    endpoints = (w.source, w.target)
-    letters = list(w.letters)
-    moves = []
-    budget = max_steps if max_steps is not None else 50 * len(letters) ** 2 + 100
+    state = _Reduction(w, observer)
+    budget = max_steps if max_steps is not None else 50 * len(w.letters) ** 2 + 100
     stuck = False
+    marker = None  # where the last cancellation left its marker
 
     while True:
-        if len(moves) > budget:
+        if len(state.moves) > budget:
             stuck = True
             break
-        _absorb_markers(letters, moves, observer, endpoints)
-        # adjacent cancellations
-        cancelled = False
-        for i in range(len(letters) - 1):
-            if _cancels(letters[i], letters[i + 1]):
-                marker = IsoMarker(letters[i].src, letters[i + 1].tgt)
-                letters[i : i + 2] = [marker]
-                _log(moves, observer, letters, endpoints, ("cancel", i))
-                cancelled = True
-                break
-        if cancelled:
+        # the first pass absorbs the input's markers; afterwards the only
+        # marker is the one the last cancellation left
+        if marker is None:
+            state.absorb_all()
+        else:
+            state.absorb(marker)
+        k = state.adjacent_cancel()
+        if k is not None:
+            marker = state.cancel(k)
             continue
-        # innermost stack-matched pair per fiber, canonical fiber order
-        pair = _find_reducible_pair(letters)
+        pair = state.reducible_pair()
         if pair is None:
             break
-        i, j = pair
-        # commute the letter at i rightwards until adjacent to j
-        blocked = False
-        while i + 1 < j:
-            nxt = letters[i + 1]
-            if not (
-                isinstance(nxt, LinkLetter)
-                and nxt.is_cb2()
-                and nxt.center_key() is not None
-                and nxt.center_key() != letters[i].center_key()
-            ):
-                blocked = True
-                break
-            b2, a2 = _swap_adjacent(letters[i], letters[i + 1])
-            letters[i : i + 2] = [b2, a2]
-            _log(moves, observer, letters, endpoints, ("commute", i))
-            i += 1
-        if blocked:
+        i = state.commute_to(*pair)
+        if i is None:
             stuck = True
             break
-        marker = IsoMarker(letters[i].src, letters[j].tgt)
-        letters[i : j + 1] = [marker]
-        _log(moves, observer, letters, endpoints, ("cancel", i))
+        marker = state.cancel(i)
 
-    _absorb_markers(letters, moves, observer, endpoints)
-    residual = GroupoidWord(tuple(letters), *endpoints)
+    state.absorb_all()
+    residual = GroupoidWord(tuple(state.letters), *state.endpoints)
     if residual.link_letters():
         stuck = True
-    return ReductionResult(residual, moves, traces, stuck)
-
-
-def _find_reducible_pair(letters):
-    """Innermost cancellable (i, j) over fibers in canonical key order."""
-    fibers = {}
-    for pos, letter in enumerate(letters):
-        if isinstance(letter, LinkLetter) and letter.center_key() is not None:
-            fibers.setdefault(letter.center_key(), []).append(pos)
-    for key in sorted(fibers):
-        stack = []
-        for pos in fibers[key]:
-            if stack and _cancels(letters[stack[-1]], letters[pos]):
-                return stack[-1], pos
-            stack.append(pos)
-    return None
+    return ReductionResult(residual, state.moves, traces, stuck)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from cremona_kit.linsys import (
     push_type2,
 )
 from cremona_kit.rewrite import (
+    GroupoidWord,
     LinkLetter,
     make_center_pool,
     make_link_template,
@@ -209,6 +210,21 @@ def test_criterion_6_relator_fuzzing():
             result = reduce_relation(w, observer=observer)
             assert result.is_trivial and not result.stuck, f"seed {seed}"
             assert not failures, f"image drifted at seed {seed}: {failures}"
+
+
+def test_long_relator_reduction():
+    pool = make_center_pool(F2, [1, 2, 3, 5, 17, 19])
+    templates = [make_link_template(F2, p) for p in pool]
+    rng = random.Random(400)
+    letters = []
+    for _ in range(400):
+        piece = random_relator(rng, templates, max_len=40)
+        letters.extend(piece.letters)
+    w = GroupoidWord(tuple(letters), piece.source, piece.target)
+    assert len(w) > 4500
+    with budget("6L", f"400 concatenated relators ({len(w)} letters) reduce", 3.0):
+        result = reduce_relation(w)
+        assert result.is_trivial and not result.stuck
 
 
 def test_criterion_7_f2_orbit_census():

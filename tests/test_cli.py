@@ -65,6 +65,24 @@ class TestParseField:
         with pytest.raises(BadInput):
             cli.parse_field("F6")
 
+    @pytest.mark.parametrize("name", ["F\u00b2", "F" + "1" * 5000])
+    def test_rejects_malformed_size(self, name):
+        from cremona_kit.errors import BadInput
+
+        with pytest.raises(BadInput):
+            cli.parse_field(name)
+
+    def test_machine_word_prime(self):
+        # 2^61 - 1: trial division up to its square root does not finish
+        assert cli.parse_field("F2305843009213693951") == PrimeField(2**61 - 1)
+
+    def test_rejects_semiprime_near_2_62(self):
+        from cremona_kit.errors import BadInput
+
+        # (2^31 - 1)(2^31 + 11): both factors prime, no small divisor
+        with pytest.raises(BadInput):
+            cli.parse_field(f"F{(2**31 - 1) * (2**31 + 11)}")
+
 
 class TestRoundTrips:
     def test_orbit_make_parses_back(self, capsys):
@@ -152,6 +170,24 @@ class TestErrors:
         assert code == 1
         assert json.loads(err.splitlines()[-1])["error"]["kind"] == "NotARelator"
 
+    @pytest.mark.parametrize(
+        "command,content",
+        [
+            (["word", "validate"], {"letters": []}),
+            (["word", "reduce"], {"endpoints": [{"kind": "F", "n": 0}] * 2}),
+            (["word", "reorder"], [1, 2]),
+            (["homo", "eval"], "{not json"),
+            (["homo", "eval"], None),
+        ],
+    )
+    def test_bad_word_input_exit_1(self, command, content, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        if content is not None:
+            wfile.write_text(content if isinstance(content, str) else json.dumps(content))
+        code, out, err = run(command + ["--in", str(wfile)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
+
     def test_reducible_poly_error(self, capsys):
         code, _, err = run(
             ["orbit", "make", "--field", "F2", "--poly", "t^2+1", "--template", "conic"],
@@ -175,19 +211,3 @@ class TestDeterminism:
         _, out1, _ = run(argv, capsys)
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
-
-
-class TestThreadCap:
-    def test_valid(self, monkeypatch):
-        monkeypatch.setenv("CREMONA_KIT_THREADS", "4")
-        assert cli.thread_cap() == 4
-
-    def test_invalid(self, monkeypatch):
-        from cremona_kit.errors import BadInput
-
-        monkeypatch.setenv("CREMONA_KIT_THREADS", "zero")
-        with pytest.raises(BadInput):
-            cli.thread_cap()
-        monkeypatch.setenv("CREMONA_KIT_THREADS", "0")
-        with pytest.raises(BadInput):
-            cli.thread_cap()

@@ -88,6 +88,35 @@ class TestFactor:
         assert factor_over_prime_field(f) == factor_over_prime_field(f)
 
 
+class TestPrimality:
+    def test_matches_trial_division(self):
+        from cremona_kit.fields import _is_prime
+
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-2, 5000) if _is_prime(n)] == [
+            n for n in range(-2, 5000) if trial(n)
+        ]
+
+    def test_strong_pseudoprimes_refused(self):
+        from cremona_kit.fields import _is_prime
+
+        # strong pseudoprimes to the bases 2; 2..7; 2..23
+        for n in (2047, 3215031751, 3825123056546413051):
+            assert not _is_prime(n)
+        assert _is_prime(2**61 - 1) and _is_prime(2**63 - 25)
+
+    def test_prime_power(self):
+        from cremona_kit.fields import prime_power
+
+        assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+        assert prime_power(3**40) == (3, 40)
+        assert prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+        for q in (0, 1, 6, 2**62 - 1, (2**31 - 1) * (2**31 + 11)):
+            assert prime_power(q) is None
+
+
 class TestIrreducibleCheck:
     def test_eisenstein(self):
         cert = irreducible_check(P(QQ, "x^17-2"))

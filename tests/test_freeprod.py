@@ -154,6 +154,23 @@ class TestHomoEval:
         )
         assert homo_eval(w).is_identity()
 
+    def test_class_key_depends_on_field(self):
+        # one orbit polynomial over Q and over F2: the model keys agree, the
+        # classes do not, whichever field is evaluated first
+        from cremona_kit.constructions import c5_big_link
+
+        factors = {}
+        for F, rpoly in (
+            (QQ, poly_from_string(QQ, "t^17+t^3+1")),
+            (F2, find_irreducible(F2, 17)),
+        ):
+            orbit4 = orbit_from_poly(F, poly_from_string(F, "t^4+t+1"), CONIC)
+            link, _ = c5_big_link(orbit4, rpoly)
+            assert link.depth == 17
+            ((factors[F], _),) = homo_eval(word([LinkLetter(link, 1)])).word
+        assert factors[QQ].class_id == "conic:4:1,1,0,0,1"
+        assert factors[F2].class_id.startswith("pgl3[q=2]:")
+
 
 def cb5_letter(depth):
     orb = orbit_from_poly(F2, poly_from_string(F2, "t^4+t+1"), CONIC)
