@@ -18,18 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BadInput, NonRational
 from .fields import Poly, poly_from_json, poly_to_json
-from .orbits import (
-    PointOrbit,
-    SPLIT,
-    common_coordinate_field,
-    materialize_points,
-    orbit_from_json,
-    orbit_to_json,
-    point_sort_key,
-    apply_matrix,
-    lift_matrix,
-    pgl3_matrices,
-)
+from .orbits import PointOrbit, SPLIT, orbit_from_json, orbit_to_json, pgl3_form
 
 P2 = "P2"
 HIRZEBRUCH = "F"
@@ -390,41 +379,15 @@ class ConicBundleClassKey:
 HIRZEBRUCH_CLASS = ConicBundleClassKey("hirzebruch")
 
 
-def _cb_defining_orbits(X):
-    return (X.orbit,)
-
-
-def _finite_class_id(field, orbits):
-    """Canonical PGL_3(field)-form of the union of the defining orbits."""
-    K = common_coordinate_field(field, list(orbits))
-    pts = []
-    for o in orbits:
-        _, p = materialize_points(o, K=K)
-        pts.extend(p)
-    q = field.size()
-    if q <= 5:
-        best = None
-        for M in pgl3_matrices(field):
-            rows = lift_matrix(K, field, M)
-            image = tuple(
-                sorted(point_sort_key(K, apply_matrix(K, rows, p)) for p in pts)
-            )
-            if best is None or image < best:
-                best = image
-        return f"pgl3[q={q}]:{best}"
-    from .orbits import _canonical_form_frames
-
-    return f"pgl3[q={q}]:{_canonical_form_frames(K, pts)}"
-
-
 def cb_class_key(X):
     """Equivalence class of a rational Mori conic bundle.
 
     All Hirzebruch surfaces share one key.  For the degree-5/6 bundles the
-    key is the PGL_3(k) class of the defining orbit data over finite
-    fields, and the canonical minimal-polynomial normal form over Q (two
-    distinct normal forms may still be equivalent; equality of keys is the
-    conservative criterion).
+    key is the PGL_3(k) class of the defining orbit over finite fields,
+    named by `orbits.pgl3_form` (which chooses between the exhaustive sweep
+    and frame normalization), and the canonical minimal-polynomial normal
+    form over Q (two distinct normal forms may still be equivalent;
+    equality of keys is the conservative criterion).
     """
     if not X.rational:
         raise NonRational("non-rational conic bundles carry no class key")
@@ -433,12 +396,12 @@ def cb_class_key(X):
     if X.kind == HIRZEBRUCH:
         return HIRZEBRUCH_CLASS
     family = "dp5" if X.kind == CB5 else "dp6"
-    orbits = _cb_defining_orbits(X)
-    field = orbits[0].field
+    field = X.orbit.field
     if field.is_finite():
-        return ConicBundleClassKey(family, _finite_class_id(field, orbits))
-    keys = sorted(o.key() for o in orbits)
-    return ConicBundleClassKey(family, "|".join(keys))
+        return ConicBundleClassKey(
+            family, f"pgl3[q={field.size()}]:{pgl3_form(field, [X.orbit])}"
+        )
+    return ConicBundleClassKey(family, X.orbit.key())
 
 
 # ---------------------------------------------------------------------------

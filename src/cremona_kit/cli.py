@@ -9,7 +9,6 @@ on stderr), 2 usage error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import BadInput, DomainError
 from . import fields
@@ -47,12 +46,6 @@ def parse_field(name):
             return base
         return fields.ExtensionField(base, fields.find_irreducible(base, k).coeffs)
     raise BadInput(f"cannot parse field {name!r} (use Q, F2, F4, F101, ...)")
-
-
-@dataclass
-class Invocation:
-    command: tuple
-    flags: dict
 
 
 def _load(path):
@@ -447,30 +440,13 @@ def build_parser():
     return parser
 
 
-def parse_invocation(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    flags = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "command", "subcommand") and v is not None
-    }
-    inv = Invocation((args.command, getattr(args, "subcommand", None)), flags)
-    inv.args = args
-    return inv
-
-
-def execute(invocation):
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
-        return invocation.args.func(invocation.args)
+        return args.func(args)
     except DomainError as exc:
         sys.stderr.write(json.dumps(exc.to_json(), sort_keys=True) + "\n")
         return 1
-
-
-def main(argv=None):
-    invocation = parse_invocation(sys.argv[1:] if argv is None else argv)
-    return execute(invocation)
 
 
 if __name__ == "__main__":

@@ -683,19 +683,21 @@ def poly_from_string(field, s):
         if not num and not v:
             raise BadInput(f"cannot parse polynomial near {s[pos:]!r}")
         e = int(exp) if exp else (1 if v else 0)
-        if num:
-            c = Fraction(num)
-        else:
-            c = Fraction(1)
+        try:
+            c = Fraction(num or 1)
+        except ZeroDivisionError:
+            raise BadInput(f"zero denominator in {num!r}")
         if sign == "-":
             c = -c
         if field.characteristic() == 0:
             val = c
+        elif c.denominator != 1:
+            den = field.from_int(c.denominator)
+            if field.is_zero(den):
+                raise BadInput(f"denominator of {num!r} vanishes in {field}")
+            val = field.div(field.from_int(c.numerator), den)
         else:
-            if c.denominator != 1:
-                val = field.div(field.from_int(c.numerator), field.from_int(c.denominator))
-            else:
-                val = field.from_int(c.numerator)
+            val = field.from_int(c.numerator)
         coeffs[e] = field.add(coeffs.get(e, field.zero), field.normalize(val))
         pos = m.end()
     top = max(coeffs) if coeffs else 0

@@ -97,24 +97,6 @@ def fp_normalize(raw):
     return FreeProductElement(tuple(stack))
 
 
-def fp_normalize_bruteforce(raw):
-    """Oracle: apply single rewriting steps to a fixpoint."""
-    word = [(f, frozenset(b)) for f, b in raw]
-    changed = True
-    while changed:
-        changed = False
-        for i, (f, b) in enumerate(word):
-            if not b:
-                del word[i]
-                changed = True
-                break
-            if i + 1 < len(word) and word[i + 1][0] == f:
-                word[i : i + 2] = [(f, b ^ word[i + 1][1])]
-                changed = True
-                break
-    return FreeProductElement(tuple(word))
-
-
 def _word_chains(w):
     prev = w.source
     for i, letter in enumerate(w.letters):
@@ -125,35 +107,42 @@ def _word_chains(w):
         raise ChainBreak("word does not reach its declared target")
 
 
-# (field of the defining orbit, model key) -> class key; model keys spell
-# orbit coefficients without naming the field they lie in
-_CLASS_KEY_CACHE = {}
-
-
-def _class_key(model):
+def _class_key(model, memo):
     if model.kind == HIRZEBRUCH:
         return HIRZEBRUCH_CLASS
+    # model keys spell orbit coefficients without naming the field they lie in
     ck = (model.orbit.field if model.orbit is not None else None, model.key())
-    if ck not in _CLASS_KEY_CACHE:
+    if ck not in memo:
         try:
-            _CLASS_KEY_CACHE[ck] = cb_class_key(model)
+            memo[ck] = cb_class_key(model)
         except NonRational as exc:
             raise UnresolvedClass(str(exc))
-    return _CLASS_KEY_CACHE[ck]
+    return memo[ck]
+
+
+def _deep_letters(w, delta, field=None):
+    """(class key, depth) of each type II conic-bundle letter of depth >=
+    delta, computing each model's class key once per call."""
+    _word_chains(w)
+    memo = {}
+    out = []
+    for letter in w.letters:
+        if not isinstance(letter, LinkLetter):
+            continue
+        link = letter.link
+        if not (link.is_cb_type2() and link.depth >= delta):
+            continue
+        if field is not None and link.orbit_src is not None:
+            if link.orbit_src.field != field:
+                raise UnresolvedClass("letter lives over a different field")
+        out.append((_class_key(link.source, memo), link.depth))
+    return out
 
 
 def homo_eval(w, delta=16):
     """Image of a groupoid word: one generator per type II conic-bundle
     letter of depth >= delta, indexed by its equivalence class."""
-    _word_chains(w)
-    letters = []
-    for letter in w.letters:
-        if not isinstance(letter, LinkLetter):
-            continue
-        link = letter.link
-        if link.is_cb_type2() and link.depth >= delta:
-            letters.append((_class_key(link.source), frozenset({link.depth})))
-    return fp_normalize(letters)
+    return fp_normalize((key, {depth}) for key, depth in _deep_letters(w, delta))
 
 
 I0 = ("I0",)
@@ -171,18 +160,10 @@ def _refined_factor_and_bit(key, depth):
 def homo_refined_eval(w, field=None):
     """Image in the refined target: I0 for the Hirzebruch class, one free
     factor per degree-5/6 orbit class, indexed by n with depth = 2n+1."""
-    _word_chains(w)
     letters = []
-    for letter in w.letters:
-        if not isinstance(letter, LinkLetter):
-            continue
-        link = letter.link
-        if link.is_cb_type2() and link.depth >= 16:
-            if field is not None and link.orbit_src is not None:
-                if link.orbit_src.field != field:
-                    raise UnresolvedClass("letter lives over a different field")
-            factor, bit = _refined_factor_and_bit(_class_key(link.source), link.depth)
-            letters.append((factor, frozenset({bit})))
+    for key, depth in _deep_letters(w, 16, field):
+        factor, bit = _refined_factor_and_bit(key, depth)
+        letters.append((factor, {bit}))
     return fp_normalize(letters)
 
 
@@ -214,7 +195,7 @@ class RefinedTarget:
                 if tag == "n":
                     table[cid] = table.get(cid, frozenset()) ^ {val}
                 else:
-                    out.aux.setdefault((fam, cid), set()).add(val)
+                    out.aux[(fam, cid)] = out.aux.get((fam, cid), frozenset()) ^ {val}
         return out
 
     def to_json(self):

@@ -13,6 +13,11 @@ Over finite fields everything (positions, enumeration, PGL_3-classification,
 matching transforms) is computed exactly in explicit extensions; over Q only
 the symbolic normal forms are handled and anything else is refused rather
 than guessed.
+
+PGL_3(F_q)-equivalence is decided in this module only: `pgl3_form` names
+the class of a union of orbits and holds the choice between the exhaustive
+sweep (q <= SWEEP_MAX_Q) and frame normalization, which `pgl3_classify`
+follows.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -350,11 +355,7 @@ def general_position_check(orbits):
         raise BadInput("need at least 3 points")
     if base.is_finite():
         K = common_coordinate_field(base, orbits)
-        pts = []
-        for o in orbits:
-            _, p = materialize_points(o, K=K)
-            pts.extend(p)
-        verdict = general_position_points(K, pts)
+        verdict = general_position_points(K, _points_in(K, orbits))
         if verdict is True:
             return GP_YES, None
         return GP_NO, verdict
@@ -392,6 +393,11 @@ def common_coordinate_field(base, orbits):
     if n == 1:
         return base
     return ExtensionField(base, find_irreducible(base, n).coeffs, check=False)
+
+
+def _points_in(K, orbits):
+    """The points of a union of orbits over a finite field, in order, in K."""
+    return [pt for o in orbits for pt in materialize_points(o, K=K)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +463,10 @@ def enumerate_point_orbits(field, n):
 # ---------------------------------------------------------------------------
 # PGL_3 classification
 
+# Largest q whose PGL_3(F_q)-classes come from the exhaustive matrix sweep
+# (|PGL_3(F_5)| = 372,000); above it they come from frame normalization.
+SWEEP_MAX_Q = 5
+
 
 def _pgl3_matrices(field):
     """All elements of PGL_3(field) as normalized invertible matrices."""
@@ -499,6 +509,52 @@ def lift_matrix(K, base, M):
     return [[_lift(K, base, m) for m in row] for row in M]
 
 
+def _image_key(K, rows, pts):
+    """Set key of the image of pts under the matrix rows over K."""
+    return tuple(sorted(point_sort_key(K, apply_matrix(K, rows, p)) for p in pts))
+
+
+def pgl3_form(field, orbits):
+    """Canonical form string of a union of orbits under PGL_3(field).
+
+    q <= SWEEP_MAX_Q: the least image under the exhaustive matrix sweep.
+    Larger q: the least image under the matrices that send an ordered
+    general-position 4-subset onto the standard frame; unions without such
+    a subset are refused.  pgl3_classify makes the same choice.
+    """
+    K = common_coordinate_field(field, orbits)
+    pts = _points_in(K, orbits)
+    if field.size() > SWEEP_MAX_Q:
+        return _frame_form(K, pts)
+    # lifted one matrix at a time: the list of all of them would cost tens
+    # of MB over F4
+    return str(min(_image_key(K, lift_matrix(K, field, M), pts) for M in pgl3_matrices(field)))
+
+
+def _frame_form(K, pts):
+    forms = (
+        _image_key(K, linalg.inv3(K, _frame_matrix(K, quad)), pts)
+        for quad in itertools.permutations(pts, 4)
+        if general_position_points(K, quad) is True
+    )
+    best = min(forms, default=None)
+    if best is None:
+        raise ScaleExceeded(
+            f"frame normalization needs 4 points in general position (q > {SWEEP_MAX_Q})"
+        )
+    return str(best)
+
+
+def _frame_matrix(K, frame):
+    """Matrix sending the standard frame e1,e2,e3,(1,1,1) to the 4 points."""
+    p1, p2, p3, p4 = frame
+    A = [[p1[i], p2[i], p3[i]] for i in range(3)]
+    c = linalg.solve(K, A, list(p4))
+    if c is None or any(K.is_zero(ci) for ci in c):
+        raise CollinearTriple("frame points are degenerate")
+    return [[K.mul(c[j], A[i][j]) for j in range(3)] for i in range(3)]
+
+
 @dataclass
 class OrbitClass:
     class_id: str
@@ -520,16 +576,16 @@ def pgl3_classify(orbits, field, filter=ALL):
 
     All orbits of one size are materialized in the same canonical
     coordinate extension, so orbits built from different minimal
-    polynomials compare correctly.  q <= 5: exhaustive matrix sweep
-    (exact), walking one full matrix orbit per class.  Larger q: normalize
-    an ordered general-position frame onto the standard frame and compare
-    canonical forms; orbits without such a frame are refused at that scale.
+    polynomials compare correctly.  The method is pgl3_form's: for
+    q <= SWEEP_MAX_Q the exhaustive sweep, walked once per class rather
+    than once per orbit; above it, orbits are grouped by their frame
+    normalization, and orbits without 4 points in general position are
+    refused.
     """
     if filter == GENERAL_POSITION_ONLY:
         orbits = [o for o in orbits if o.general_position == GP_YES]
     orbits = sorted(orbits, key=lambda o: o.key())
     q = field.size()
-    strategy = "exhaustive" if q <= 5 else "frame-normalization"
     by_size = {}
     for o in orbits:
         by_size.setdefault(o.size, []).append(o)
@@ -537,101 +593,50 @@ def pgl3_classify(orbits, field, filter=ALL):
     for size in sorted(by_size):
         group = by_size[size]
         K = common_coordinate_field(field, group)
-        pts_list = []
-        set_keys = []
-        for o in group:
-            _, pts = materialize_points(o, K=K)
-            pts_list.append(pts)
-            set_keys.append(tuple(sorted(point_sort_key(K, p) for p in pts)))
-        if q <= 5:
-            classes.extend(
-                _classify_exhaustive(field, K, q, size, group, pts_list, set_keys)
+        pts_list = [materialize_points(o, K=K)[1] for o in group]
+        if q <= SWEEP_MAX_Q:
+            classes.extend(_classify_exhaustive(field, K, size, group, pts_list))
+            continue
+        forms = {}
+        for o, pts in zip(group, pts_list):
+            forms.setdefault(_frame_form(K, pts), []).append(o)
+        classes.extend(
+            OrbitClass(
+                class_id=f"pgl3[q={q},n={size}]:{form}",
+                representative=members[0],
+                members=tuple(members),
+                strategy="frame-normalization",
             )
-        else:
-            groups = {}
-            for o, pts in zip(group, pts_list):
-                form = _canonical_form_frames(K, pts)
-                groups.setdefault(form, []).append(o)
-            for form, members in sorted(groups.items()):
-                classes.append(
-                    OrbitClass(
-                        class_id=f"pgl3[q={q},n={size}]:{form}",
-                        representative=members[0],
-                        members=tuple(members),
-                        strategy=strategy,
-                    )
-                )
+            for form, members in sorted(forms.items())
+        )
     classes.sort(key=lambda c: (c.representative.size, c.class_id))
     return classes
 
 
-def _classify_exhaustive(field, K, q, size, group, pts_list, set_keys):
+def _classify_exhaustive(field, K, size, group, pts_list):
+    # every class walks all of PGL_3(field), so the lifted rows are kept
     lifted = [lift_matrix(K, field, M) for M in pgl3_matrices(field)]
+    set_keys = [tuple(sorted(point_sort_key(K, p) for p in pts)) for pts in pts_list]
     pending = {}
-    for idx, skey in enumerate(set_keys):
-        pending.setdefault(skey, []).append(idx)
+    for o, skey in zip(group, set_keys):
+        pending.setdefault(skey, []).append(o)
     out = []
-    for seed_idx, seed_key in enumerate(set_keys):
-        if seed_key not in pending:
+    for skey, pts in zip(set_keys, pts_list):
+        if skey not in pending:
             continue
-        images = set()
-        best = None
-        for rows in lifted:
-            img = tuple(
-                sorted(
-                    point_sort_key(K, apply_matrix(K, rows, p))
-                    for p in pts_list[seed_idx]
-                )
-            )
-            images.add(img)
-            if best is None or img < best:
-                best = img
-        members = []
-        for img in images:
-            members.extend(group[i] for i in pending.pop(img, ()))
-        members.sort(key=lambda o: o.key())
+        images = {_image_key(K, rows, pts) for rows in lifted}
+        members = sorted(
+            (o for img in images for o in pending.pop(img, ())), key=lambda o: o.key()
+        )
         out.append(
             OrbitClass(
-                class_id=f"pgl3[q={q},n={size}]:{best}",
+                class_id=f"pgl3[q={field.size()},n={size}]:{min(images)}",
                 representative=members[0],
                 members=tuple(members),
                 strategy="exhaustive",
             )
         )
     return out
-
-
-def _canonical_form_frames(K, pts):
-    frames = []
-    for quad in itertools.permutations(range(len(pts)), 4):
-        chosen = [pts[i] for i in quad]
-        if general_position_points(K, chosen) is not True:
-            continue
-        frames.append(chosen)
-    if not frames:
-        raise ScaleExceeded(
-            "frame normalization needs 4 points in general position (q > 5)"
-        )
-    best = None
-    for frame in frames:
-        M = _frame_matrix(K, frame)
-        Minv = linalg.inv3(K, M)
-        image = tuple(
-            sorted(point_sort_key(K, apply_matrix(K, Minv, p)) for p in pts)
-        )
-        if best is None or image < best:
-            best = image
-    return str(best)
-
-
-def _frame_matrix(K, frame):
-    """Matrix sending the standard frame e1,e2,e3,(1,1,1) to the 4 points."""
-    p1, p2, p3, p4 = frame
-    A = [[p1[i], p2[i], p3[i]] for i in range(3)]
-    c = linalg.solve(K, A, list(p4))
-    if c is None or any(K.is_zero(ci) for ci in c):
-        raise CollinearTriple("frame points are degenerate")
-    return [[K.mul(c[j], A[i][j]) for j in range(3)] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +667,11 @@ def _collect_points(arg):
 def match_transform(P, Q):
     """A matrix of PGL_3(k) sending the 4-point set P onto Q, or None.
 
-    Finite fields: full search over labelings; the frame matrix for each
-    labeling is accepted only when its entries are Frobenius-fixed and the
-    substitution check passes.  Over Q only identical normal forms and
-    fully rational explicit sets are decided; anything else is NoMatch.
+    Full search over labelings: the frame matrix for each labeling is
+    accepted when the substitution check passes and, over a finite field,
+    when the labeling commutes with Frobenius and the entries are
+    Frobenius-fixed.  Over Q only identical normal forms and fully rational
+    explicit sets are decided; anything else is NoMatch.
     """
     P_orbits, Q_orbits = _collect_points(P), _collect_points(Q)
     fields = {o.field for o in P_orbits + Q_orbits}
@@ -675,40 +681,40 @@ def match_transform(P, Q):
     if sum(o.size for o in P_orbits) != 4 or sum(o.size for o in Q_orbits) != 4:
         raise BadInput("match_transform expects two sets of 4 points")
 
-    if not base.is_finite():
-        return _match_transform_q(base, P_orbits, Q_orbits)
-
-    q = base.size()
-    K = common_coordinate_field(base, P_orbits + Q_orbits)
-    pts_p, pts_q = [], []
-    for o in P_orbits:
-        _, p = materialize_points(o, K=K)
-        pts_p.extend(p)
-    for o in Q_orbits:
-        _, p = materialize_points(o, K=K)
-        pts_q.extend(p)
+    finite = base.is_finite()
+    if finite:
+        K = common_coordinate_field(base, P_orbits + Q_orbits)
+        pts_p, pts_q = _points_in(K, P_orbits), _points_in(K, Q_orbits)
+    elif sorted(o.key() for o in P_orbits) == sorted(o.key() for o in Q_orbits):
+        one, zero = base.one, base.zero
+        return [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    elif all(o.template == EXPLICIT for o in P_orbits + Q_orbits):
+        K = base
+        pts_p = [pt for o in P_orbits for pt in o.points]
+        pts_q = [pt for o in Q_orbits for pt in o.points]
+    else:
+        return None  # NoMatch-conservatism over Q
     if general_position_points(K, pts_p) is not True:
         raise CollinearTriple("P contains a collinear triple")
     if general_position_points(K, pts_q) is not True:
         raise CollinearTriple("Q contains a collinear triple")
 
-    sigma_p = frobenius_fingerprint(K, pts_p, q).generator_images[0]
-    sigma_q = frobenius_fingerprint(K, pts_q, q).generator_images[0]
-    labelings = [
-        pi
-        for pi in itertools.permutations(range(4))
-        if all(pi[sigma_p[i]] == sigma_q[pi[i]] for i in range(4))
-    ]
-    if not labelings:
-        raise FingerprintMismatch("Galois actions on the two sets are incompatible")
+    labelings = list(itertools.permutations(range(4)))
+    if finite:
+        q = base.size()
+        sigma_p = frobenius_fingerprint(K, pts_p, q).generator_images[0]
+        sigma_q = frobenius_fingerprint(K, pts_q, q).generator_images[0]
+        labelings = [
+            pi for pi in labelings if all(pi[sigma_p[i]] == sigma_q[pi[i]] for i in range(4))
+        ]
+        if not labelings:
+            raise FingerprintMismatch("Galois actions on the two sets are incompatible")
 
-    MP = _frame_matrix(K, pts_p)
-    MP_inv = linalg.inv3(K, MP)
+    MP_inv = linalg.inv3(K, _frame_matrix(K, pts_p))
     for pi in labelings:
         MQ = _frame_matrix(K, [pts_q[pi[i]] for i in range(4)])
-        A = linalg.mat_mul(K, MQ, MP_inv)
-        A = _normalize_matrix(K, A)
-        if not _matrix_frobenius_fixed(K, A, q):
+        A = _normalize_matrix(K, linalg.mat_mul(K, MQ, MP_inv))
+        if finite and not _matrix_frobenius_fixed(K, A, q):
             continue
         if all(
             point_sort_key(K, apply_matrix(K, A, pts_p[i]))
@@ -742,34 +748,6 @@ def _descend(K, base, x):
         raise BadInput("element is not in the base field")
     inner = x[0] if x else K.base.zero
     return _descend(K.base, base, inner) if K.base != base else inner
-
-
-def _match_transform_q(base, P_orbits, Q_orbits):
-    p_keys = sorted(o.key() for o in P_orbits)
-    q_keys = sorted(o.key() for o in Q_orbits)
-    if p_keys == q_keys:
-        one, zero = base.one, base.zero
-        return [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-    if all(o.template == EXPLICIT for o in P_orbits + Q_orbits):
-        pts_p = [pt for o in P_orbits for pt in o.points]
-        pts_q = [pt for o in Q_orbits for pt in o.points]
-        if general_position_points(base, pts_p) is not True:
-            raise CollinearTriple("P contains a collinear triple")
-        if general_position_points(base, pts_q) is not True:
-            raise CollinearTriple("Q contains a collinear triple")
-        MP = _frame_matrix(base, pts_p)
-        MP_inv = linalg.inv3(base, MP)
-        for pi in itertools.permutations(range(4)):
-            MQ = _frame_matrix(base, [pts_q[pi[i]] for i in range(4)])
-            A = linalg.mat_mul(base, MQ, MP_inv)
-            if all(
-                point_sort_key(base, apply_matrix(base, A, pts_p[i]))
-                == point_sort_key(base, pts_q[pi[i]])
-                for i in range(4)
-            ):
-                return _normalize_matrix(base, A)
-        return None
-    return None  # NoMatch-conservatism over Q
 
 
 # ---------------------------------------------------------------------------

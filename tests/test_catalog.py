@@ -8,15 +8,18 @@ from cremona_kit.orbits import (
     CONIC,
     SPLIT,
     apply_matrix,
+    common_coordinate_field,
     explicit_orbit,
     large_orbit,
     lift_matrix,
     materialize_points,
     orbit_from_poly,
     pgl3_matrices,
+    point_sort_key,
 )
 from cremona_kit.catalog import (
     CENTER_INF,
+    ConicBundleClassKey,
     FIBER_PAIRS,
     FiberCenter,
     HIRZEBRUCH_CLASS,
@@ -71,6 +74,38 @@ def cb_link(depth, src=None, tgt=None, center=None):
         center=center or center_from_poly(poly),
         depth=depth,
     )
+
+
+def key_model(field, family):
+    """A CB5 model on a conic-form quartic ("cb5"), on its image under a fixed
+    matrix as explicit points ("cb5x"), or a CB6 model on a split pair."""
+    if family == "cb6":
+        quad = find_irreducible(field, 2)
+        return conic_bundle6(orbit_from_poly(field, quad, SPLIT, second_poly=quad))
+    orb = orbit_from_poly(field, find_irreducible(field, 4), CONIC)
+    if family == "cb5x":
+        K, pts = materialize_points(orb)
+        one, zero = field.one, field.zero
+        rows = lift_matrix(K, field, [[one, one, zero], [zero, one, one], [one, zero, zero]])
+        orb = explicit_orbit(field, K, [apply_matrix(K, rows, p) for p in pts])
+    return conic_bundle5(orb)
+
+
+def sweep_class_id(field, orbits):
+    """Oracle: the least image of the union of orbits over all of
+    PGL_3(field), written out independently of orbits.pgl3_form."""
+    K = common_coordinate_field(field, orbits)
+    pts = []
+    for o in orbits:
+        _, p = materialize_points(o, K=K)
+        pts.extend(p)
+    best = None
+    for M in pgl3_matrices(field):
+        rows = lift_matrix(K, field, M)
+        image = tuple(sorted(point_sort_key(K, apply_matrix(K, rows, p)) for p in pts))
+        if best is None or image < best:
+            best = image
+    return f"pgl3[q={field.size()}]:{best}"
 
 
 class TestInvariants:
@@ -258,6 +293,21 @@ class TestClassKeys:
             rows = lift_matrix(K, F2, M)
             image = explicit_orbit(F2, K, [apply_matrix(K, rows, p) for p in pts])
             assert cb_class_key(conic_bundle5(image)) == base_key
+
+    @pytest.mark.parametrize(
+        "q,family", [(2, "cb5"), (2, "cb5x"), (2, "cb6"), (3, "cb5"), (3, "cb6")]
+    )
+    def test_matches_exhaustive_sweep(self, q, family):
+        field = PrimeField(q)
+        X = key_model(field, family)
+        assert cb_class_key(X).class_id == sweep_class_id(field, [X.orbit])
+
+    @pytest.mark.parametrize("q", [7, 101])
+    def test_frame_keys_pinned(self, q):
+        F = PrimeField(q)
+        frame = f"pgl3[q={q}]:((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))"
+        assert cb_class_key(key_model(F, "cb5")) == ConicBundleClassKey("dp5", frame)
+        assert cb_class_key(key_model(F, "cb6")) == ConicBundleClassKey("dp6", frame)
 
     def test_non_rational_refused(self):
         with pytest.raises(errors.NonRational):

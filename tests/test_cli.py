@@ -18,34 +18,35 @@ def run(argv, capsys):
 
 class TestParseInvocation:
     def test_orbit_census(self):
-        inv = cli.parse_invocation(["orbit", "census", "--field", "F2", "--size", "4"])
-        assert inv.command == ("orbit", "census")
-        assert inv.flags["field"] == "F2" and inv.flags["size"] == 4
+        args = cli.build_parser().parse_args(["orbit", "census", "--field", "F2", "--size", "4"])
+        assert (args.command, args.subcommand) == ("orbit", "census")
+        assert args.field == "F2" and args.size == 4
+        assert args.func is cli.cmd_orbit_census
 
     def test_homo_eval(self):
-        inv = cli.parse_invocation(["homo", "eval", "--in", "w.json"])
-        assert inv.command == ("homo", "eval")
-        assert inv.flags["infile"] == "w.json"
+        args = cli.build_parser().parse_args(["homo", "eval", "--in", "w.json"])
+        assert (args.command, args.subcommand) == ("homo", "eval")
+        assert args.infile == "w.json"
+        assert (args.refined, args.field, args.delta) == (False, None, 16)
+        assert args.func is cli.cmd_homo_eval
 
-    def test_unknown_command_exits_2(self):
+    def usage_exit(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_invocation(["bogus"])
-        assert exc.value.code == 2
+            cli.main(argv)
+        return exc.value.code, capsys.readouterr().out
 
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_invocation(["audit", "sym4", "--bogus"])
-        assert exc.value.code == 2
+    def test_unknown_command_exits_2(self, capsys):
+        assert self.usage_exit(["bogus"], capsys) == (2, "")
 
-    def test_missing_required_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_invocation(["orbit", "census", "--field", "F2"])
-        assert exc.value.code == 2
+    def test_unknown_flag_exits_2(self, capsys):
+        assert self.usage_exit(["audit", "sym4", "--bogus"], capsys) == (2, "")
 
-    def test_help_exits_0(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_invocation(["orbit", "--help"])
-        assert exc.value.code == 0
+    def test_missing_required_exits_2(self, capsys):
+        assert self.usage_exit(["orbit", "census", "--field", "F2"], capsys) == (2, "")
+
+    def test_help_exits_0(self, capsys):
+        code, out = self.usage_exit(["orbit", "--help"], capsys)
+        assert code == 0 and "census" in out
 
 
 class TestParseField:
@@ -185,6 +186,14 @@ class TestErrors:
         if content is not None:
             wfile.write_text(content if isinstance(content, str) else json.dumps(content))
         code, out, err = run(command + ["--in", str(wfile)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
+
+    @pytest.mark.parametrize(
+        "field,poly", [("F2", "1/2*x+1"), ("F4", "x^2+3/2"), ("Q", "1/0*x+1")]
+    )
+    def test_vanishing_denominator_exit_1(self, field, poly, capsys):
+        code, out, err = run(["field", "factor", "--field", field, "--poly", poly], capsys)
         assert code == 1 and out == ""
         assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
 

@@ -23,17 +23,36 @@ from cremona_kit.rewrite import (
     word,
 )
 from cremona_kit.freeprod import (
+    FreeProductElement,
     I0,
     IDENTITY,
     RefinedTarget,
     fp_normalize,
-    fp_normalize_bruteforce,
     homo_eval,
     homo_refined_eval,
     witness_free_factors,
 )
 
 F2 = PrimeField(2)
+
+
+def fp_normalize_bruteforce(raw):
+    """Oracle for fp_normalize: apply single rewriting steps to a fixpoint."""
+    word = [(f, frozenset(b)) for f, b in raw]
+    changed = True
+    while changed:
+        changed = False
+        for i, (f, b) in enumerate(word):
+            if not b:
+                del word[i]
+                changed = True
+                break
+            if i + 1 < len(word) and word[i + 1][0] == f:
+                word[i : i + 2] = [(f, b ^ word[i + 1][1])]
+                changed = True
+                break
+    return FreeProductElement(tuple(word))
+
 
 C = ConicBundleClassKey("dp5", "c")
 D = ConicBundleClassKey("dp6", "d")
@@ -217,6 +236,14 @@ class TestRefined:
         view = RefinedTarget.from_element(elem)
         assert view.aux and not view.j5_factors
 
+    def test_aux_bits_cancel_like_n_bits(self):
+        cid = ("J5", "c")
+        for bit in (("aux", 18), ("n", 8)):
+            elem = fp_normalize([(cid, {bit}), (I0, {16}), (cid, {bit})])
+            view = RefinedTarget.from_element(elem)
+            assert view.hirzebruch_factor == {16}
+            assert not view.aux.get(cid) and not view.j5_factors.get("c")
+
     def test_view(self):
         w = word([cb5_letter(17)])
         view = RefinedTarget.from_element(homo_refined_eval(w, F2))
@@ -242,8 +269,6 @@ class TestFreeFactors:
         assert out == {"word": [{"factor": {"family": "hirzebruch"}, "bits": [17]}]}
 
     def test_json_roundtrip(self):
-        from cremona_kit.freeprod import FreeProductElement
-
         for elem in (
             fp_normalize([(C, {17, 19}), (E, {16})]),
             fp_normalize([(I0, {16}), (("J5", "cid"), {("n", 8), ("aux", 18)})]),

@@ -287,6 +287,33 @@ class TestMatchTransform:
         with pytest.raises(errors.FingerprintMismatch):
             match_transform(o, rational_frame)
 
+    @pytest.mark.parametrize(
+        "image,want",
+        [
+            # the standard frame moved by [[1,2,0],[0,1,3],[1,0,1]]
+            (
+                [("0", "3", "1"), ("2", "1", "0"), ("1", "0", "1"), ("3", "4", "2")],
+                [["1", "1/2", "0"], ["1/2", "0", "3/2"], ["0", "1/2", "1/2"]],
+            ),
+            (
+                [("1", "2", "3"), ("-1", "5", "1/2"), ("2", "0", "7"), ("1", "1", "1")],
+                [["1", "1", "-3/7"], ["1", "0", "15/7"], ["1", "7/2", "3/14"]],
+            ),
+        ],
+    )
+    def test_q_explicit_points(self, image, want):
+        def rational(pts):
+            return [tuple(QQ.elem_from_str(c) for c in p) for p in pts]
+
+        frame = rational([("0", "0", "1"), ("0", "1", "0"), ("1", "0", "0"), ("1", "1", "1")])
+        Q = explicit_orbit(QQ, QQ, rational(image))
+        # one 4-point orbit or four rational points: the same search
+        for P_ in (explicit_orbit(QQ, QQ, frame), [explicit_orbit(QQ, QQ, [p]) for p in frame]):
+            A = match_transform(P_, Q)
+            assert [[QQ.elem_to_str(x) for x in row] for row in A] == want
+        got = sorted(point_sort_key(QQ, apply_matrix(QQ, A, p)) for p in frame)
+        assert got == sorted(point_sort_key(QQ, p) for p in Q.points)
+
     def test_q_identity_and_conservatism(self):
         o = orbit_from_poly(QQ, P(QQ, "x^4-2"), CONIC)
         assert match_transform(o, o) is not None
