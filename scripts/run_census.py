@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Orbit census sweep: closed-point counts and PGL_3 class counts.
 
-Emits one TSV row (q, n, filter, orbit_count, class_count) per filter for
-every requested size, plus the zeta-formula cross-check.
+Runs `cremona-kit orbit census` for every requested size: one TSV row
+(q, n, filter, orbit_count, class_count) per filter.  The enumeration checks
+each orbit count against the zeta formula.
 
     python3 scripts/run_census.py --field F2 --sizes 1 2 3 4
 """
@@ -10,14 +11,7 @@ every requested size, plus the zeta-formula cross-check.
 import argparse
 import sys
 
-from cremona_kit.cli import parse_field
-from cremona_kit.orbits import (
-    ALL,
-    GENERAL_POSITION_ONLY,
-    closed_point_count,
-    enumerate_point_orbits,
-    pgl3_classify,
-)
+from cremona_kit import cli
 
 
 def main():
@@ -25,16 +19,12 @@ def main():
     ap.add_argument("--field", default="F2")
     ap.add_argument("--sizes", type=int, nargs="+", default=[1, 2, 3, 4])
     args = ap.parse_args()
-    field = parse_field(args.field)
-    q = field.size()
     for n in args.sizes:
-        orbits = enumerate_point_orbits(field, n)
-        assert len(orbits) == closed_point_count(q, n)
-        for filt in (ALL, GENERAL_POSITION_ONLY):
-            classes = pgl3_classify(orbits, field, filter=filt)
-            members = sum(c.count for c in classes)
-            sys.stdout.write(f"{q}\t{n}\t{filt}\t{members}\t{len(classes)}\n")
+        code = cli.main(["orbit", "census", "--field", args.field, "--size", str(n)])
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

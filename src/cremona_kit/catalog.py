@@ -290,7 +290,17 @@ def _violation(rule):
 
 
 def link_validate(l):
-    """Necessary validity conditions from the link classification bounds."""
+    """Necessary validity conditions from the link classification bounds.
+    The verdict depends on the frozen link alone and is kept on it, as
+    PointOrbit.key() keeps its key."""
+    verdict = getattr(l, "_verdict", None)
+    if verdict is None:
+        verdict = _link_conditions(l)
+        object.__setattr__(l, "_verdict", verdict)
+    return verdict
+
+
+def _link_conditions(l):
     s, t = l.source, l.target
     notes = []
     sizes = [o.size for o in (l.orbit_src, l.orbit_tgt) if o is not None]
@@ -384,8 +394,8 @@ def cb_class_key(X):
 
     All Hirzebruch surfaces share one key.  For the degree-5/6 bundles the
     key is the PGL_3(k) class of the defining orbit over finite fields,
-    named by `orbits.pgl3_form` (which chooses between the exhaustive sweep
-    and frame normalization), and the canonical minimal-polynomial normal
+    named by `orbits.pgl3_form` (which walks the class for q <= 5 and uses
+    frame normalization above), and the canonical minimal-polynomial normal
     form over Q (two distinct normal forms may still be equivalent;
     equality of keys is the conservative criterion).
     """

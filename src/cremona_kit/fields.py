@@ -457,7 +457,10 @@ class ExtensionField(Field):
         return str(self.to_int(a))
 
     def elem_from_str(self, s):
-        return self.from_packed_int(int(s))
+        n = int(s)
+        if not 0 <= n < self.size():  # from_packed_int loops forever on n < 0
+            raise BadInput(f"{s!r} is not an element of {self}")
+        return self.from_packed_int(n)
 
     def __eq__(self, other):
         return (

@@ -15,9 +15,9 @@ the symbolic normal forms are handled and anything else is refused rather
 than guessed.
 
 PGL_3(F_q)-equivalence is decided in this module only: `pgl3_form` names
-the class of a union of orbits and holds the choice between the exhaustive
-sweep (q <= SWEEP_MAX_Q) and frame normalization, which `pgl3_classify`
-follows.
+the class of a union of orbits and holds the choice, which `pgl3_classify`
+follows, between walking the whole class along four generators of the group
+(q <= SWEEP_MAX_Q) and frame normalization.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -121,26 +121,31 @@ def orbit_to_json(orbit):
 
 
 def orbit_from_json(obj):
-    base = field_from_json(obj["field"])
-    template = obj["template"]
-    min_poly = poly_from_json(obj["min_poly"])
-    if template == EXPLICIT:
-        K = _coordinate_field(base, min_poly)
-        pts = tuple(
-            tuple(K.elem_from_str(s) for s in pt) for pt in obj.get("points", [])
-        )
-        return PointOrbit(
-            field=base,
-            template=EXPLICIT,
-            size=obj["size"],
-            min_poly=min_poly,
-            points=pts,
-            coord_field=K,
-            general_position=obj.get("general_position", GP_UNKNOWN),
-        )
-    second = poly_from_json(obj["min_poly2"]) if "min_poly2" in obj else None
-    return orbit_from_poly(
-        base, min_poly, template, second_poly=second, allow_unverified=True
+    """Inverse of orbit_to_json; malformed input is refused with BadInput."""
+    try:
+        base = field_from_json(obj["field"])
+        template = obj["template"]
+        min_poly = poly_from_json(obj["min_poly"])
+        second = poly_from_json(obj["min_poly2"]) if "min_poly2" in obj else None
+        if template == EXPLICIT:
+            size, K = obj["size"], _coordinate_field(base, min_poly)
+            pts = [tuple(K.elem_from_str(s) for s in pt) for pt in obj["points"]]
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"malformed orbit JSON: {exc!r}")
+    if min_poly.field != base or (second is not None and second.field != base):
+        raise BadInput("orbit polynomials must live over the orbit's field")
+    if template != EXPLICIT:
+        return orbit_from_poly(base, min_poly, template, second, allow_unverified=True)
+    if K != base and not (base.is_finite() and irreducible_check(min_poly).verdict == IRREDUCIBLE):
+        raise BadInput("explicit coordinates need an irreducible min_poly over a finite field")
+    pts = tuple(normalize_point(K, pt) for pt in pts)  # K is a field from here on
+    if type(size) is not int or size != len(pts) or any(len(pt) != 3 for pt in pts):
+        raise BadInput("an explicit orbit needs `size` points with 3 coordinates each")
+    if K != base and _set_key(K, (_frobenius(K, p, base.size()) for p in pts)) != _set_key(K, pts):
+        raise BadInput("explicit points must be closed under Frobenius")
+    return PointOrbit(
+        base, EXPLICIT, size, min_poly, points=pts, coord_field=K,
+        general_position=obj.get("general_position", GP_UNKNOWN),
     )
 
 
@@ -162,6 +167,10 @@ def normalize_point(K, pt):
 
 def point_sort_key(K, pt):
     return tuple(K.sort_key(c) for c in pt)
+
+
+def _frobenius(K, pt, q):
+    return normalize_point(K, tuple(K.pow(c, q) for c in pt))
 
 
 def _roots_via_frobenius(K, f, q):
@@ -428,9 +437,6 @@ def enumerate_point_orbits(field, n):
         raise ScaleExceeded(f"q^n = {q ** n} exceeds 2^32")
     K = field if n == 1 else ExtensionField(field, find_irreducible(field, n).coeffs, check=False)
 
-    def frob(pt):
-        return normalize_point(K, tuple(K.pow(c, q) for c in pt))
-
     def all_points():
         elems = sorted(K.elements(), key=K.to_int)
         yield (K.zero, K.zero, K.one)
@@ -448,11 +454,11 @@ def enumerate_point_orbits(field, n):
             continue
         orbit_pts = [pt]
         seen.add(key)
-        cur = frob(pt)
+        cur = _frobenius(K, pt, q)
         while point_sort_key(K, cur) != key:
             orbit_pts.append(cur)
             seen.add(point_sort_key(K, cur))
-            cur = frob(cur)
+            cur = _frobenius(K, cur, q)
         if len(orbit_pts) == n:
             orbits.append(explicit_orbit(field, K, orbit_pts))
     orbits.sort(key=lambda o: o.key())
@@ -463,35 +469,28 @@ def enumerate_point_orbits(field, n):
 # ---------------------------------------------------------------------------
 # PGL_3 classification
 
-# Largest q whose PGL_3(F_q)-classes come from the exhaustive matrix sweep
-# (|PGL_3(F_5)| = 372,000); above it they come from frame normalization.
+# Largest q whose PGL_3(F_q)-classes are walked whole; above it they come
+# from frame normalization (one 4-point class over F_7 has about 10^6 sets).
 SWEEP_MAX_Q = 5
 
 
-def _pgl3_matrices(field):
-    """All elements of PGL_3(field) as normalized invertible matrices."""
-    elems = sorted(field.elements(), key=field.to_int)
-    out = []
-    for entries in itertools.product(elems, repeat=9):
-        # normalized: first nonzero entry is 1
-        first = next((e for e in entries if not field.is_zero(e)), None)
-        if first != field.one:
-            continue
-        M = [list(entries[0:3]), list(entries[3:6]), list(entries[6:9])]
-        if field.is_zero(linalg.det3(field, M)):
-            continue
-        out.append(M)
-    return out
-
-
-_PGL3_CACHE = {}
-
-
-def pgl3_matrices(field):
-    key = field
-    if key not in _PGL3_CACHE:
-        _PGL3_CACHE[key] = _pgl3_matrices(field)
-    return _PGL3_CACHE[key]
+def _pgl3_generators(field):
+    """(12), (123), I + E_12 and diag(g, 1, 1) for the least primitive g, left
+    out over F_2.  Diagonal matrices conjugate I + E_12 into every I + tE_12
+    and permutations into every elementary transvection; these generate SL_3
+    (Steinberg), and diag(g, 1, 1) reaches every determinant."""
+    q, o, z = field.size(), field.one, field.zero
+    g = next(
+        g for g in sorted(field.elements(), key=field.to_int)[1:]
+        if len({field.to_int(field.pow(g, k)) for k in range(1, q)}) == q - 1
+    )
+    gens = [
+        [[z, o, z], [o, z, z], [z, z, o]],
+        [[z, z, o], [o, z, z], [z, o, z]],
+        [[o, o, z], [z, o, z], [z, z, o]],
+        [[g, z, z], [z, o, z], [z, z, o]],
+    ]
+    return gens if g != o else gens[:3]
 
 
 def apply_matrix(K, lifted_rows, pt):
@@ -509,26 +508,43 @@ def lift_matrix(K, base, M):
     return [[_lift(K, base, m) for m in row] for row in M]
 
 
+def _set_key(K, pts):
+    return tuple(sorted(point_sort_key(K, p) for p in pts))
+
+
 def _image_key(K, rows, pts):
     """Set key of the image of pts under the matrix rows over K."""
-    return tuple(sorted(point_sort_key(K, apply_matrix(K, rows, p)) for p in pts))
+    return _set_key(K, [apply_matrix(K, rows, p) for p in pts])
+
+
+def _class_walk(field, K, pts):
+    """Set keys of every image of the point set pts (in K) under PGL_3(field),
+    walked breadth first along the generators."""
+    gens = [lift_matrix(K, field, M) for M in _pgl3_generators(field)]
+    todo, seen = [pts], {_set_key(K, pts)}
+    for cur in todo:
+        for rows in gens:
+            img = [apply_matrix(K, rows, p) for p in cur]
+            key = _set_key(K, img)
+            if key not in seen:
+                seen.add(key)
+                todo.append(img)
+    return seen
 
 
 def pgl3_form(field, orbits):
     """Canonical form string of a union of orbits under PGL_3(field).
 
-    q <= SWEEP_MAX_Q: the least image under the exhaustive matrix sweep.
-    Larger q: the least image under the matrices that send an ordered
-    general-position 4-subset onto the standard frame; unions without such
-    a subset are refused.  pgl3_classify makes the same choice.
+    q <= SWEEP_MAX_Q: the least set key that _class_walk visits.  Larger q:
+    the least image under the matrices that send an ordered general-position
+    4-subset onto the standard frame; unions without such a subset are
+    refused.  pgl3_classify makes the same choice.
     """
     K = common_coordinate_field(field, orbits)
     pts = _points_in(K, orbits)
     if field.size() > SWEEP_MAX_Q:
         return _frame_form(K, pts)
-    # lifted one matrix at a time: the list of all of them would cost tens
-    # of MB over F4
-    return str(min(_image_key(K, lift_matrix(K, field, M), pts) for M in pgl3_matrices(field)))
+    return str(min(_class_walk(field, K, pts)))
 
 
 def _frame_form(K, pts):
@@ -577,66 +593,36 @@ def pgl3_classify(orbits, field, filter=ALL):
     All orbits of one size are materialized in the same canonical
     coordinate extension, so orbits built from different minimal
     polynomials compare correctly.  The method is pgl3_form's: for
-    q <= SWEEP_MAX_Q the exhaustive sweep, walked once per class rather
-    than once per orbit; above it, orbits are grouped by their frame
-    normalization, and orbits without 4 points in general position are
-    refused.
+    q <= SWEEP_MAX_Q one class walk per class, which collects every member;
+    above it, orbits are grouped by their frame normalization, and orbits
+    without 4 points in general position are refused.
     """
     if filter == GENERAL_POSITION_ONLY:
         orbits = [o for o in orbits if o.general_position == GP_YES]
-    orbits = sorted(orbits, key=lambda o: o.key())
+    orbits = sorted(orbits, key=lambda o: (o.size, o.key()))
     q = field.size()
-    by_size = {}
-    for o in orbits:
-        by_size.setdefault(o.size, []).append(o)
+    strategy = "exhaustive" if q <= SWEEP_MAX_Q else "frame-normalization"
     classes = []
-    for size in sorted(by_size):
-        group = by_size[size]
+    for size, group in itertools.groupby(orbits, key=lambda o: o.size):
+        group = list(group)
         K = common_coordinate_field(field, group)
-        pts_list = [materialize_points(o, K=K)[1] for o in group]
-        if q <= SWEEP_MAX_Q:
-            classes.extend(_classify_exhaustive(field, K, size, group, pts_list))
-            continue
-        forms = {}
-        for o, pts in zip(group, pts_list):
-            forms.setdefault(_frame_form(K, pts), []).append(o)
+        forms, pending = {}, {}  # pending: set key -> (points, orbits)
+        for o in group:
+            pts = materialize_points(o, K=K)[1]
+            if q > SWEEP_MAX_Q:
+                forms.setdefault(_frame_form(K, pts), []).append(o)
+            else:
+                pending.setdefault(_set_key(K, pts), (pts, []))[1].append(o)
+        while pending:
+            images = _class_walk(field, K, next(iter(pending.values()))[0])
+            members = [o for img in images if img in pending for o in pending.pop(img)[1]]
+            forms[str(min(images))] = sorted(members, key=lambda o: o.key())
         classes.extend(
-            OrbitClass(
-                class_id=f"pgl3[q={q},n={size}]:{form}",
-                representative=members[0],
-                members=tuple(members),
-                strategy="frame-normalization",
-            )
-            for form, members in sorted(forms.items())
+            OrbitClass(f"pgl3[q={q},n={size}]:{form}", members[0], tuple(members), strategy)
+            for form, members in forms.items()
         )
     classes.sort(key=lambda c: (c.representative.size, c.class_id))
     return classes
-
-
-def _classify_exhaustive(field, K, size, group, pts_list):
-    # every class walks all of PGL_3(field), so the lifted rows are kept
-    lifted = [lift_matrix(K, field, M) for M in pgl3_matrices(field)]
-    set_keys = [tuple(sorted(point_sort_key(K, p) for p in pts)) for pts in pts_list]
-    pending = {}
-    for o, skey in zip(group, set_keys):
-        pending.setdefault(skey, []).append(o)
-    out = []
-    for skey, pts in zip(set_keys, pts_list):
-        if skey not in pending:
-            continue
-        images = {_image_key(K, rows, pts) for rows in lifted}
-        members = sorted(
-            (o for img in images for o in pending.pop(img, ())), key=lambda o: o.key()
-        )
-        out.append(
-            OrbitClass(
-                class_id=f"pgl3[q={field.size()},n={size}]:{min(images)}",
-                representative=members[0],
-                members=tuple(members),
-                strategy="exhaustive",
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +639,7 @@ def frobenius_fingerprint(K, pts, q):
     keys = [point_sort_key(K, p) for p in pts]
     images = []
     for p in pts:
-        fp = normalize_point(K, tuple(K.pow(c, q) for c in p))
-        images.append(keys.index(point_sort_key(K, fp)))
+        images.append(keys.index(point_sort_key(K, _frobenius(K, p, q))))
     return PermutationActionFingerprint((tuple(images),))
 
 

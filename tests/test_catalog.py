@@ -14,8 +14,6 @@ from cremona_kit.orbits import (
     lift_matrix,
     materialize_points,
     orbit_from_poly,
-    pgl3_matrices,
-    point_sort_key,
 )
 from cremona_kit.catalog import (
     CENTER_INF,
@@ -43,6 +41,8 @@ from cremona_kit.catalog import (
     non_rational_cb,
     projective_plane,
 )
+
+from pgl3_sweep import pgl3_matrices, sweep_images
 
 F2 = PrimeField(2)
 
@@ -95,17 +95,8 @@ def sweep_class_id(field, orbits):
     """Oracle: the least image of the union of orbits over all of
     PGL_3(field), written out independently of orbits.pgl3_form."""
     K = common_coordinate_field(field, orbits)
-    pts = []
-    for o in orbits:
-        _, p = materialize_points(o, K=K)
-        pts.extend(p)
-    best = None
-    for M in pgl3_matrices(field):
-        rows = lift_matrix(K, field, M)
-        image = tuple(sorted(point_sort_key(K, apply_matrix(K, rows, p)) for p in pts))
-        if best is None or image < best:
-            best = image
-    return f"pgl3[q={field.size()}]:{best}"
+    pts = [p for o in orbits for p in materialize_points(o, K=K)[1]]
+    return f"pgl3[q={field.size()}]:{min(sweep_images(field, K, pts))}"
 
 
 class TestInvariants:
@@ -166,6 +157,19 @@ class TestLinkValidate:
     @pytest.mark.parametrize("x", range(1, 21))
     def test_cb_2xx_any_depth(self, x):
         assert link_validate(cb_link(x))
+
+    def test_verdict_kept_per_instance(self):
+        # equal links (avoids_singular_fibers is not compared) keep their
+        # own verdicts, in either order of validation
+        import dataclasses
+
+        good = cb_link(5)
+        bad = dataclasses.replace(good, avoids_singular_fibers=False)
+        assert good == bad
+        assert link_validate(good) and link_validate(good) is link_validate(good)
+        v = link_validate(bad)
+        assert not v and v.rule == "base-point-on-singular-fiber"
+        assert link_validate(good)
 
     def test_iii_cb5_to_p2(self):
         orb = quartic_orbit()

@@ -1,11 +1,13 @@
+import copy
 import json
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from cremona_kit import cli
 from cremona_kit.fields import ExtensionField, PrimeField, QQ
 from cremona_kit.linsys import LinearSystemClass
-from cremona_kit.orbits import orbit_from_json
+from cremona_kit.orbits import explicit_orbit, orbit_from_json, orbit_to_json
 from cremona_kit.catalog import link_from_json
 from cremona_kit.rewrite import word_from_json, word_to_json
 
@@ -204,6 +206,122 @@ class TestErrors:
         )
         assert code == 1
         assert json.loads(err.splitlines()[-1])["error"]["kind"] == "NotIrreducible"
+
+
+F7 = PrimeField(7)
+F7_FRAME = orbit_to_json(explicit_orbit(F7, F7, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]))
+
+
+DELETE = object()
+
+
+def _container(obj, path):
+    """The list or dict that holds the item at path inside obj."""
+    for key in path[:-1]:
+        obj = obj[key]
+    return obj
+
+
+def _edit(path, value):
+    """A copy of F7_FRAME with the item at path replaced (DELETE: removed)."""
+    obj = copy.deepcopy(F7_FRAME)
+    if value is DELETE:
+        del _container(obj, path)[path[-1]]
+    else:
+        _container(obj, path)[path[-1]] = value
+    return obj
+
+
+MALFORMED_ORBITS = {
+    "no field": _edit(["field"], DELETE),
+    "no template": _edit(["template"], DELETE),
+    "list": [F7_FRAME],
+    "2 coordinates": _edit(["points", 0], ["0", "1"]),
+    "size string": _edit(["size"], "4"),
+    "null coefficient": _edit(["min_poly", "coeffs", 0], None),
+    "5 points, size 4": _edit(["points"], F7_FRAME["points"] + [["1", "2", "3"]]),
+    "all-zero point": _edit(["points", 0], ["0", "0", "0"]),
+    # over F_49 = F_7[t]/(t^2+1) the point [1 : t : 0] has no conjugate in the set
+    "not Galois-stable": {
+        **_edit(["min_poly", "coeffs"], ["1", "0", "1"]),
+        "points": [["0", "0", "1"], ["0", "1", "0"], ["1", "7", "0"], ["1", "1", "1"]],
+    },
+    # F_7[t]/(t^2) is no field: normalizing [t : 1 : 0] there would never end
+    "reducible min_poly": {
+        **_edit(["min_poly", "coeffs"], ["0", "0", "1"]),
+        "points": [["0", "0", "1"], ["0", "1", "0"], ["7", "1", "0"], ["1", "1", "1"]],
+    },
+}
+
+
+def _match_frame(mutant, tmp_path, capsys):
+    """orbit match of F7_FRAME against a JSON value: (exit, stdout, stderr)."""
+    p, q = tmp_path / "frame.json", tmp_path / "mutant.json"
+    p.write_text(json.dumps(F7_FRAME))
+    q.write_text(json.dumps(mutant))
+    return run(["orbit", "match", "--p", str(p), "--q", str(q)], capsys)
+
+
+def _paths(obj, prefix=()):
+    """Every path to an item inside a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 60)
+    | st.sampled_from(["", "0", "1", "6", "7", "-1", "1/2", "1/0", "x", "Fp", "Fq", "Q"])
+    | st.sampled_from(["conic", "split", "line", "explicit"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["p", "kind", "coeffs", "field"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_frames(draw):
+    obj = copy.deepcopy(F7_FRAME)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        parent = _container(obj, path)
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON_VALUES)
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.insert(path[-1], draw(JSON_VALUES))
+    return obj
+
+
+class TestOrbitJsonBoundary:
+    @pytest.mark.parametrize("name", list(MALFORMED_ORBITS))
+    def test_malformed_exit_1(self, name, tmp_path, capsys):
+        code, out, err = _match_frame(MALFORMED_ORBITS[name], tmp_path, capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
+
+    def test_frame_matches_itself(self, tmp_path, capsys):
+        code, out, _ = _match_frame(F7_FRAME, tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out) == {"match": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(mutant=mutated_frames())
+    def test_mutations_exit_0_or_1(self, mutant, tmp_path, capsys):
+        # any exception escaping cli.main fails the test: no traceback
+        code, out, err = _match_frame(mutant, tmp_path, capsys)
+        assert code in (0, 1)
+        if code == 1:
+            assert out == "" and "error" in json.loads(err.splitlines()[-1])
 
 
 class TestDeterminism:

@@ -251,6 +251,14 @@ class TestExtensionField:
         u = F16.add(F16.mul(t, t), t)  # t^2 + t generates F_4
         assert minimal_polynomial(F16, u) == P(F2, "t^2+t+1")
 
+    @pytest.mark.parametrize("text", ["-1", "16"])
+    def test_elem_from_str_refuses_non_elements(self, text):
+        # a negative packed integer used to loop forever
+        F16 = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
+        with pytest.raises(errors.BadInput):
+            F16.elem_from_str(text)
+        assert F16.elem_from_str("15") == F16.from_packed_int(15)
+
     def test_log_tables_match_raw(self):
         F16 = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
         elems = list(F16.elements())

@@ -38,10 +38,13 @@ from cremona_kit.orbits import (
     orbit_to_json,
     perm_cycles,
     pgl3_classify,
-    pgl3_matrices,
     point_sort_key,
     transitive_sym4_audit,
 )
+
+from cremona_kit.linalg import mat_mul
+from cremona_kit.orbits import _normalize_matrix, _pgl3_generators
+from pgl3_sweep import pgl3_matrices, sweep_images
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -228,6 +231,43 @@ class TestClassification:
     def test_f3_size2(self):
         classes = classify(3, 2)
         assert sum(c.count for c in classes) == closed_point_count(3, 2)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_generators_close_to_the_group(self, q):
+        # |PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), and the closure is the
+        # whole scanned group
+        F = PrimeField(q)
+        gens = _pgl3_generators(F)
+        ident = [[F.one if i == j else F.zero for j in range(3)] for i in range(3)]
+        seen = {str(ident)}
+        todo = [ident]
+        for A in todo:
+            for G in gens:
+                B = _normalize_matrix(F, mat_mul(F, A, G))
+                if str(B) not in seen:
+                    seen.add(str(B))
+                    todo.append(B)
+        assert len(seen) == q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+        assert seen == {str(M) for M in pgl3_matrices(F)}
+
+    @pytest.mark.parametrize("filt", [ALL, GENERAL_POSITION_ONLY])
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)])
+    def test_matches_exhaustive_sweep(self, q, n, filt):
+        # class ids and partitions against the images of one member per
+        # class over all of PGL_3(F_q)
+        F = PrimeField(q)
+        oracle = []
+        for o in census(q, n):
+            if filt == GENERAL_POSITION_ONLY and o.general_position != GP_YES:
+                continue
+            key = tuple(sorted(point_sort_key(o.coord_field, p) for p in o.points))
+            cls = next((c for c in oracle if key in c[0]), None)
+            if cls is None:
+                cls = (sweep_images(F, o.coord_field, o.points), [])
+                oracle.append(cls)
+            cls[1].append(o.key())
+        got = {c.class_id: sorted(m.key() for m in c.members) for c in classify(q, n, filt)}
+        assert got == {f"pgl3[q={q},n={n}]:{min(imgs)}": sorted(keys) for imgs, keys in oracle}
 
 
 class TestMatchTransform:
