@@ -16,7 +16,7 @@ under-determined by the encoded facts and are flagged
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BadInput, NonRational
+from .errors import MALFORMED_JSON, BadInput, NonRational
 from .fields import Poly, poly_from_json, poly_to_json
 from .orbits import PointOrbit, SPLIT, orbit_from_json, orbit_to_json, pgl3_form
 
@@ -135,20 +135,31 @@ def mfs_to_json(X):
     return out
 
 
+def _json_int(value, what):
+    """value when it is a JSON integer (not a bool), else BadInput."""
+    if type(value) is not int:
+        raise BadInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def mfs_from_json(obj):
-    kind = obj["kind"]
-    if kind == P2:
-        return projective_plane()
-    if kind == HIRZEBRUCH:
-        return hirzebruch(obj["n"])
-    if kind == DEL_PEZZO:
-        return del_pezzo(obj["degree"])
-    if kind == CB5:
-        return conic_bundle5(orbit_from_json(obj["orbit"]))
-    if kind == CB6:
-        return conic_bundle6(orbit_from_json(obj["orbit"]))
-    if kind == NRCB:
-        return non_rational_cb()
+    """Inverse of mfs_to_json; malformed input is refused with BadInput."""
+    try:
+        kind = obj["kind"]
+        if kind == P2:
+            return projective_plane()
+        if kind == HIRZEBRUCH:
+            return hirzebruch(_json_int(obj["n"], "Hirzebruch index"))
+        if kind == DEL_PEZZO:
+            return del_pezzo(_json_int(obj["degree"], "del Pezzo degree"))
+        if kind == CB5:
+            return conic_bundle5(orbit_from_json(obj["orbit"]))
+        if kind == CB6:
+            return conic_bundle6(orbit_from_json(obj["orbit"]))
+        if kind == NRCB:
+            return non_rational_cb()
+    except MALFORMED_JSON as exc:
+        raise BadInput(f"malformed model JSON: {exc!r}")
     raise BadInput(f"unknown MFS kind {kind!r}")
 
 
@@ -255,17 +266,21 @@ def link_to_json(l):
 
 
 def link_from_json(obj):
-    return SarkisovLink(
-        obj["type"],
-        mfs_from_json(obj["source"]),
-        mfs_from_json(obj["target"]),
-        orbit_src=orbit_from_json(obj["orbit_src"]) if obj.get("orbit_src") else None,
-        orbit_tgt=orbit_from_json(obj["orbit_tgt"]) if obj.get("orbit_tgt") else None,
-        center=FiberCenter.from_json(obj["fiber_center"])
-        if obj.get("fiber_center")
-        else None,
-        depth=obj["depth"],
-    )
+    """Inverse of link_to_json; malformed input is refused with BadInput."""
+    try:
+        return SarkisovLink(
+            obj["type"],
+            mfs_from_json(obj["source"]),
+            mfs_from_json(obj["target"]),
+            orbit_src=orbit_from_json(obj["orbit_src"]) if obj.get("orbit_src") else None,
+            orbit_tgt=orbit_from_json(obj["orbit_tgt"]) if obj.get("orbit_tgt") else None,
+            center=FiberCenter.from_json(obj["fiber_center"])
+            if obj.get("fiber_center")
+            else None,
+            depth=_json_int(obj["depth"], "link depth"),
+        )
+    except MALFORMED_JSON as exc:
+        raise BadInput(f"malformed link JSON: {exc!r}")
 
 
 def galois_depth(w):

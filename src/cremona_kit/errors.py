@@ -61,3 +61,7 @@ EndpointMismatch = _make("EndpointMismatch")
 
 # cli / json
 BadInput = _make("BadInput")
+
+# what reading a malformed JSON value raises; the JSON readers turn these
+# into BadInput
+MALFORMED_JSON = (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError)

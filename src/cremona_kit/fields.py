@@ -9,6 +9,11 @@ operations:
   * ExtensionField(base, m) -- elements are trimmed tuples of base elements,
                                i.e. residues of base[t]/(m)
 
+Over a PrimeField base the coefficients of an extension element are ints
+mod p, and the extension adds, negates, multiplies and packs them inline
+with integer arithmetic, one reduction mod p per coefficient; over an
+extension base every coefficient operation is a call into the base field.
+
 ExtensionField allows an extension base, which gives the internal tower
 fields used for computations in composita (e.g. F_16[s]/(r) for a degree-17
 irreducible r); only prime-base extensions appear in the public JSON schema.
@@ -24,6 +29,7 @@ No floating point is used anywhere in this module.
 
 from fractions import Fraction
 import itertools
+import operator
 import random
 
 from .errors import (
@@ -270,6 +276,12 @@ class ExtensionField(Field):
 
     Elements are trimmed tuples of base elements (ascending powers of the
     residue of t).  Base elements embed as length-1 tuples; zero is ().
+
+    Over a PrimeField base the coefficients are ints mod p, and add, sub,
+    neg, _mul_raw and to_int work on them inline (``self._p``); over any
+    other base they go through the base field's own operations.  Fields of
+    at most _TABLE_LIMIT elements multiply, invert and raise to powers
+    through log/exp tables built on first use and kept on the instance.
     """
 
     kind = "Fq"
@@ -291,11 +303,14 @@ class ExtensionField(Field):
             m = Poly(base, mod)
             if not is_irreducible(m):
                 raise NotIrreducible(f"modulus {m} is reducible over {base}")
+        b = base.size()
+        self.q = None if b is None else b ** self.degree
+        self._p = base.p if type(base) is PrimeField else 0  # 0: generic path
         self.zero = ()
         self.one = (base.one,)
         self._log = None  # lazy log/exp tables for small fields
         self._exp = None
-        # reduction table: t^(degree+i) mod modulus, i = 0..degree-2
+        # reduction table: t^(degree+i) mod modulus, i = 0..degree-1
         self._red = []
         top = [base.neg(c) for c in mod[:-1]]
         row = list(top)
@@ -303,7 +318,7 @@ class ExtensionField(Field):
             self._red.append(tuple(row))
             carry = row[-1]
             row = [base.zero] + row[:-1]
-            if not base.is_zero(carry):
+            if carry:
                 row = [base.add(r, base.mul(carry, c)) for r, c in zip(row, top)]
         self._red.append(tuple(row))
 
@@ -311,12 +326,15 @@ class ExtensionField(Field):
         return self.base.characteristic()
 
     def size(self):
-        b = self.base.size()
-        return None if b is None else b ** self.degree
+        return self.q
 
-    def _trim(self, coeffs):
+    def is_zero(self, a):
+        return not a
+
+    @staticmethod
+    def _trim(coeffs):
         n = len(coeffs)
-        while n and self.base.is_zero(coeffs[n - 1]):
+        while n and not coeffs[n - 1]:
             n -= 1
         return tuple(coeffs[:n])
 
@@ -328,7 +346,7 @@ class ExtensionField(Field):
     def embed(self, a):
         """Embed a base-field element."""
         a = self.base.normalize(a)
-        return () if self.base.is_zero(a) else (a,)
+        return (a,) if a else ()
 
     def gen(self):
         return (self.base.zero, self.base.one)
@@ -336,86 +354,136 @@ class ExtensionField(Field):
     def add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
+        p = self._p
+        if p:
+            if len(a) > len(b):  # the top coefficient of a survives
+                return tuple([(x + y) % p for x, y in zip(a, b)]) + a[len(b):]
+            return self._trim([(x + y) % p for x, y in zip(a, b)])
+        add = self.base.add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = self.base.add(out[i], c)
+            out[i] = add(out[i], c)
         return self._trim(out)
 
     def neg(self, a):
+        p = self._p
+        if p:
+            return tuple([-c % p for c in a])
         return tuple(self.base.neg(c) for c in a)
 
     def sub(self, a, b):
+        p = self._p
+        if p:
+            la, lb = len(a), len(b)
+            out = [(x - y) % p for x, y in zip(a, b)]
+            if la > lb:
+                return tuple(out) + a[lb:]
+            if lb > la:
+                return tuple(out) + tuple([-y % p for y in b[la:]])
+            return self._trim(out)
         return self.add(a, self.neg(b))
 
     _TABLE_LIMIT = 65536
 
     def _ensure_tables(self):
-        """log/exp tables over a multiplicative generator (small fields)."""
+        """log/exp tables over the first primitive element g in elements()
+        order (small fields).  The powers of g are walked as coordinate
+        vectors over F_p under the F_p-linear map x -> g*x: one dot product
+        over ints per coordinate and step instead of a field product."""
         if self._exp is not None:
             return True
-        q = self.size()
+        q = self.q
         if q is None or q > self._TABLE_LIMIT:
             return False
-        for cand in self.elements():
-            if not cand or self._mul_raw(cand, cand) == cand:  # skip 0, 1
-                continue
-            exp = [self.one]
-            cur = cand
-            while cur != self.one:
-                exp.append(cur)
-                cur = self._mul_raw(cur, cand)
-            if len(exp) == q - 1:
-                self._exp = exp
-                self._log = {e: i for i, e in enumerate(exp)}
-                return True
-        raise AssertionError("no multiplicative generator found")
+        one, primes = self.one, _prime_divisors(q - 1)
+        g = next(
+            c for c in self.elements()
+            if c and all(Field.pow(self, c, (q - 1) // r) != one for r in primes)
+        )
+        p = self.characteristic()
+        basis, w = [], 1
+        while w < q:
+            basis.append(self.from_packed_int(w))
+            w *= p
+        cols = []  # column j: the coordinates of g * basis[j]
+        for b in basis:
+            n, col = self.to_int(self._mul_raw(g, b)), []
+            for _ in basis:
+                n, r = divmod(n, p)
+                col.append(r)
+            cols.append(col)
+        rows = list(zip(*cols))
+        exp = [one]
+        v = unit = [1] + [0] * (len(basis) - 1)
+        for _ in range(q - 2):
+            v = [sum(map(operator.mul, row, v)) % p for row in rows]
+            exp.append(self._from_digits(v))
+        log = {e: i for i, e in enumerate(exp)}
+        if len(log) != q - 1 or [sum(map(operator.mul, row, v)) % p for row in rows] != unit:
+            # g has order q - 1 and its powers are distinct only in a field
+            raise NotIrreducible(f"modulus {Poly(self.base, self.modulus)} is reducible")
+        self._exp, self._log = exp, log
+        return True
 
     def mul(self, a, b):
         if not a or not b:
             return ()
         if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.size() - 1)]
+            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a, b):
         if not a or not b:
             return ()
+        d = self.degree
+        red = self._red
+        p = self._p
+        if p:
+            prod = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        prod[j] += ai * bj
+            for i in range(d, len(prod)):
+                c = prod[i] % p
+                if c:
+                    for j, r in enumerate(red[i - d]):
+                        prod[j] += c * r
+            return self._trim([c % p for c in prod[:d]])
         base = self.base
+        add, mul = base.add, base.mul
         prod = [base.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if base.is_zero(ai):
+            if not ai:
                 continue
-            for j, bj in enumerate(b):
-                prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        d = self.degree
+            for j, bj in enumerate(b, i):
+                prod[j] = add(prod[j], mul(ai, bj))
         if len(prod) > d:
             out = prod[:d]
             for i in range(d, len(prod)):
                 c = prod[i]
-                if base.is_zero(c):
+                if not c:
                     continue
-                red = self._red[i - d]
-                for j, r in enumerate(red):
-                    out[j] = base.add(out[j], base.mul(c, r))
+                for j, r in enumerate(red[i - d]):
+                    out[j] = add(out[j], mul(c, r))
             prod = out
         return self._trim(prod)
 
     def pow(self, a, e):
-        if self._exp is None and self.is_finite():
+        if self._exp is None and self.q is not None:
             self._ensure_tables()
         if self._exp is not None and a:
-            if e < 0:
-                e = e % (self.size() - 1)
-            return self._exp[(self._log[a] * e) % (self.size() - 1)]
+            n = self.q - 1
+            return self._exp[(self._log[a] * (e % n)) % n]
         return super().pow(a, e)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
-        if self._exp is None and self.is_finite():
+        if self._exp is None and self.q is not None:
             self._ensure_tables()
         if self._exp is not None:
-            return self._exp[-self._log[a] % (self.size() - 1)]
+            return self._exp[-self._log[a] % (self.q - 1)]
         # extended Euclid in base[t]
         f = Poly(self.base, self.modulus)
         g = Poly(self.base, a)
@@ -439,10 +507,15 @@ class ExtensionField(Field):
             yield self._trim(tuple(reversed(tup)))
 
     def to_int(self, a):
-        b = self.base.size()
         val = 0
+        p = self._p
+        if p:
+            for c in reversed(a):
+                val = val * p + c
+            return val
+        b, to_int = self.base.size(), self.base.to_int
         for c in reversed(a):
-            val = val * b + self.base.to_int(c)
+            val = val * b + to_int(c)
         return val
 
     def from_packed_int(self, n):
@@ -453,12 +526,21 @@ class ExtensionField(Field):
             coeffs.append(self.base.from_packed_int(r))
         return self._trim(tuple(coeffs))
 
+    def _from_digits(self, v):
+        """The element whose coordinates over F_p, least significant first
+        as in to_int, are the ints v."""
+        if self._p:
+            return self._trim(v)
+        k = len(v) // self.degree
+        from_digits = self.base._from_digits
+        return self._trim([from_digits(v[i:i + k]) for i in range(0, len(v), k)])
+
     def elem_to_str(self, a):
         return str(self.to_int(a))
 
     def elem_from_str(self, s):
         n = int(s)
-        if not 0 <= n < self.size():  # from_packed_int loops forever on n < 0
+        if not 0 <= n < self.q:  # from_packed_int loops forever on n < 0
             raise BadInput(f"{s!r} is not an element of {self}")
         return self.from_packed_int(n)
 
@@ -780,6 +862,8 @@ def is_irreducible(f):
 
 def find_irreducible(field, degree):
     """Canonically least monic irreducible of the given degree."""
+    if degree < 1:
+        raise BadInput(f"no irreducible polynomial has degree {degree}")
     if degree == 1:
         return Poly(field, (field.zero, field.one))
     for cand in monic_polys(field, degree):

@@ -34,6 +34,7 @@ from .errors import (
     UncomputableOverQ,
     UnsupportedField,
     BadInput,
+    MALFORMED_JSON,
 )
 from .fields import (
     ExtensionField,
@@ -130,7 +131,7 @@ def orbit_from_json(obj):
         if template == EXPLICIT:
             size, K = obj["size"], _coordinate_field(base, min_poly)
             pts = [tuple(K.elem_from_str(s) for s in pt) for pt in obj["points"]]
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except MALFORMED_JSON as exc:
         raise BadInput(f"malformed orbit JSON: {exc!r}")
     if min_poly.field != base or (second is not None and second.field != base):
         raise BadInput("orbit polynomials must live over the orbit's field")
@@ -157,16 +158,17 @@ def _coordinate_field(base, min_poly):
 
 def normalize_point(K, pt):
     for c in pt:
-        if not K.is_zero(c):
+        if c:
             if c == K.one:
                 return tuple(pt)
-            inv = K.inv(c)
-            return tuple(K.mul(inv, x) for x in pt)
+            inv, mul = K.inv(c), K.mul
+            return tuple([mul(inv, x) for x in pt])
     raise BadInput("projective point cannot be all zero")
 
 
 def point_sort_key(K, pt):
-    return tuple(K.sort_key(c) for c in pt)
+    sort_key = K.sort_key
+    return tuple([sort_key(c) for c in pt])
 
 
 def _frobenius(K, pt, q):
@@ -494,13 +496,15 @@ def _pgl3_generators(field):
 
 
 def apply_matrix(K, lifted_rows, pt):
+    one, mul, add = K.one, K.mul, K.add
     out = []
     for row in lifted_rows:
-        acc = K.zero
+        acc = None
         for m, c in zip(row, pt):
-            if not K.is_zero(m):
-                acc = K.add(acc, K.mul(m, c))
-        out.append(acc)
+            if m and c:  # zero is falsy in every field
+                t = c if m == one else mul(m, c)
+                acc = t if acc is None else add(acc, t)
+        out.append(K.zero if acc is None else acc)
     return normalize_point(K, tuple(out))
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import random
 
 from .errors import (
+    MALFORMED_JSON,
     BadInput,
     ChainBreak,
     NotARelator,
@@ -167,14 +168,31 @@ class WordVerdict:
         return self.ok
 
 
+def _letter_field(letter):
+    """The field of a link letter's center polynomial, else of its source
+    orbit; None when the link carries neither."""
+    center, orbit = letter.link.center, letter.link.orbit_src
+    if center is not None and center.poly is not None:
+        return center.poly.field
+    return orbit.field if orbit is not None else None
+
+
 def word_validate(w):
-    """Ok, or ChainBreak(position) when adjacency or a letter's link fails."""
-    prev = w.source
+    """Ok, or the first position where adjacency fails ("chain"), a link
+    fails link_validate ("invalid-link") or a link letter lives over another
+    field than the link letters before it ("field")."""
+    prev, field = w.source, None
     for i, letter in enumerate(w.letters):
         if letter.src.key() != prev.key():
             return WordVerdict(False, i, "chain")
-        if isinstance(letter, LinkLetter) and not link_validate(letter.link):
-            return WordVerdict(False, i, "invalid-link")
+        if isinstance(letter, LinkLetter):
+            if not link_validate(letter.link):
+                return WordVerdict(False, i, "invalid-link")
+            k = _letter_field(letter)
+            if field is None:
+                field = k
+            elif k is not None and k != field:
+                return WordVerdict(False, i, "field")
         prev = letter.tgt
     if prev.key() != w.target.key():
         return WordVerdict(False, len(w.letters), "chain")
@@ -203,13 +221,15 @@ def word_from_json(obj):
     ):
         raise BadInput("word JSON needs a 'letters' list and two 'endpoints'")
     letters = []
-    for item in obj["letters"]:
-        if "link" in item:
-            letters.append(LinkLetter(link_from_json(item["link"]), item.get("exp", 1)))
-        else:
-            letters.append(
-                IsoMarker(mfs_from_json(item["iso"]["from"]), mfs_from_json(item["iso"]["to"]))
-            )
+    try:
+        for item in obj["letters"]:
+            if "link" in item:
+                letters.append(LinkLetter(link_from_json(item["link"]), item.get("exp", 1)))
+            else:
+                iso = item["iso"]
+                letters.append(IsoMarker(mfs_from_json(iso["from"]), mfs_from_json(iso["to"])))
+    except MALFORMED_JSON as exc:
+        raise BadInput(f"malformed word letter: {exc!r}")
     src, tgt = (mfs_from_json(x) for x in obj["endpoints"])
     return GroupoidWord(tuple(letters), src, tgt)
 

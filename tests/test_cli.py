@@ -1,5 +1,7 @@
 import copy
 import json
+import random
+import signal
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -9,13 +11,25 @@ from cremona_kit.fields import ExtensionField, PrimeField, QQ
 from cremona_kit.linsys import LinearSystemClass
 from cremona_kit.orbits import explicit_orbit, orbit_from_json, orbit_to_json
 from cremona_kit.catalog import link_from_json
-from cremona_kit.rewrite import word_from_json, word_to_json
+from cremona_kit.rewrite import (
+    make_center_pool,
+    make_link_template,
+    random_relator,
+    word_from_json,
+    word_to_json,
+)
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def relator(field, seed):
+    """A seeded relator F0 -> F0 of at most 8 letters over field."""
+    templates = [make_link_template(field, p) for p in make_center_pool(field, [1, 2, 3])]
+    return random_relator(random.Random(seed), templates, max_len=8)
 
 
 class TestParseInvocation:
@@ -148,6 +162,15 @@ class TestRoundTrips:
         assert json.loads(out)["word"][0]["bits"] == [17]
 
 
+    def test_word_validate_mixed_fields(self, tmp_path, capsys):
+        w2, w3 = relator(PrimeField(2), 1), relator(PrimeField(3), 2)
+        wfile = tmp_path / "mixed.json"
+        wfile.write_text(json.dumps(word_to_json(w2.concat(w3))))
+        code, out, _ = run(["word", "validate", "--in", str(wfile)], capsys)
+        assert code == 0
+        assert json.loads(out) == {"ok": False, "position": len(w2), "reason": "field"}
+
+
 class TestCensusOutput:
     def test_tsv(self, capsys):
         code, out, _ = run(["orbit", "census", "--field", "F2", "--size", "2"], capsys)
@@ -198,6 +221,48 @@ class TestErrors:
         code, out, err = run(["field", "factor", "--field", field, "--poly", poly], capsys)
         assert code == 1 and out == ""
         assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
+
+    @pytest.mark.parametrize(
+        "command,case",
+        [
+            (["catalog", "validate"], "word as link"),
+            (["catalog", "validate"], "depth string"),
+            (["catalog", "validate"], "index string"),
+            (["catalog", "validate"], "center list"),
+            (["word", "validate"], "letter string"),
+            (["word", "validate"], "link number"),
+            (["word", "reduce"], "depth string"),
+        ],
+    )
+    def test_malformed_word_and_link_exit_1(self, command, case, tmp_path, capsys):
+        # each of these escaped cli.main as KeyError or TypeError
+        link = copy.deepcopy(LINK)
+        letters = [{"link": link, "exp": 1}]
+        if case == "word as link":
+            link = RELATOR
+        elif case == "depth string":
+            link["depth"] = "1"
+        elif case == "index string":
+            link["source"]["n"] = "0"
+        elif case == "center list":
+            link["fiber_center"] = [1]
+        elif case == "letter string":
+            letters = ["conic"]
+        elif case == "link number":
+            letters = [{"link": 0, "exp": 1}]
+        content = link if command[0] == "catalog" else {**RELATOR, "letters": letters}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(command + ["--in", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
+
+    def test_push_negative_orbit_size_exit_1(self, capsys):
+        argv = ["linsys", "push", "--two-lambda", "2", "--two-nu", "2", "--orbit-size", "-1",
+                "--two-mult", "0"]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert "error" in json.loads(err.splitlines()[-1])
 
     def test_reducible_poly_error(self, capsys):
         code, _, err = run(
@@ -278,18 +343,26 @@ JSON_VALUES = st.recursive(
     | st.booleans()
     | st.integers(-10, 60)
     | st.sampled_from(["", "0", "1", "6", "7", "-1", "1/2", "1/0", "x", "Fp", "Fq", "Q"])
-    | st.sampled_from(["conic", "split", "line", "explicit"]),
+    | st.sampled_from(["conic", "split", "line", "explicit", "inf", "I", "II", "IV", "F", "CB5"]),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["p", "kind", "coeffs", "field"]), inner, max_size=2),
+    | st.dictionaries(
+        st.sampled_from(["p", "kind", "coeffs", "field", "n", "link", "exp", "iso", "type"]),
+        inner,
+        max_size=2,
+    ),
     max_leaves=6,
 )
 
 
 @st.composite
-def mutated_frames(draw):
-    obj = copy.deepcopy(F7_FRAME)
+def mutated(draw, base):
+    """base with one to three items replaced, deleted or inserted."""
+    obj = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(obj))))
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
         parent = _container(obj, path)
         if draw(st.booleans()):
             parent[path[-1]] = draw(JSON_VALUES)
@@ -315,13 +388,171 @@ class TestOrbitJsonBoundary:
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(mutant=mutated_frames())
+    @given(mutant=mutated(F7_FRAME))
     def test_mutations_exit_0_or_1(self, mutant, tmp_path, capsys):
         # any exception escaping cli.main fails the test: no traceback
         code, out, err = _match_frame(mutant, tmp_path, capsys)
         assert code in (0, 1)
         if code == 1:
             assert out == "" and "error" in json.loads(err.splitlines()[-1])
+
+
+def _dejonquieres_json():
+    from cremona_kit.constructions import DeJonquieresMap, dejonquieres_decompose
+    from cremona_kit.fields import poly_from_string
+
+    w, _ = dejonquieres_decompose(DeJonquieresMap(poly_from_string(QQ, "x^3-2")))
+    return word_to_json(w)
+
+
+RELATOR = word_to_json(relator(PrimeField(2), 1))
+DEJONQUIERES = _dejonquieres_json()
+LINK = RELATOR["letters"][0]["link"]
+INPUT_FILES = {
+    "relator": json.dumps(RELATOR),
+    "dejonquieres": json.dumps(DEJONQUIERES),
+    "link": json.dumps(LINK),
+    "orbit": json.dumps(F7_FRAME),
+    "not json": "{",
+    "empty": "",
+    "missing": None,
+}
+# values small enough that every accepted input finishes in well under a second
+FIELD_ARGS = ["F2", "F3", "F4", "F5", "F7", "F9", "F101", "Q", "F1", "F6", "F", "Fx", "",
+              "F2305843009213693951", "F\u0663", "F-7", "F4.0"]
+CENSUS_FIELD_ARGS = ["F2", "F3", "F4", "F5", "Q", "F1", "F6", "Fx", ""]
+POLY_ARGS = ["x^2+x+1", "t^4+t+1", "t^3+t+1", "x^3-2", "x^5-2", "x^17-2", "t^2+1", "1/2*x+1",
+             "x^", "", "0", "1", "x", "x^2", "2*x^2+3", "(x+1)", "x^-1", "x^2+y", "x^9+x^4+x^2+x"]
+INT_ARGS = ["-1", "0", "1", "2", "3", "5", "x", ""]
+FILE = "file"
+FLAG = "flag"
+COMMANDS = {
+    ("orbit", "make"): [("--field", FIELD_ARGS), ("--poly", POLY_ARGS),
+                        ("--template", ["conic", "split", "line", "cubic"]),
+                        ("--poly2", POLY_ARGS), ("--allow-unverified", FLAG)],
+    ("orbit", "census"): [("--field", CENSUS_FIELD_ARGS), ("--size", ["-1", "0", "1", "2", "x"])],
+    ("orbit", "classify"): [("--field", CENSUS_FIELD_ARGS), ("--size", ["-1", "0", "1", "2"]),
+                            ("--filter", ["all", "gp", "x"])],
+    ("orbit", "match"): [("--p", FILE), ("--q", FILE)],
+    ("field", "factor"): [("--field", FIELD_ARGS), ("--poly", POLY_ARGS)],
+    ("field", "irreducible"): [("--field", FIELD_ARGS), ("--poly", POLY_ARGS)],
+    ("linsys", "push"): [("--two-lambda", INT_ARGS), ("--two-nu", INT_ARGS),
+                         ("--orbit-size", INT_ARGS), ("--two-mult", INT_ARGS)],
+    ("word", "validate"): [("--in", FILE)],
+    ("word", "reduce"): [("--in", FILE)],
+    ("word", "reorder"): [("--in", FILE), ("--delta", INT_ARGS)],
+    ("homo", "eval"): [("--in", FILE), ("--refined", FLAG), ("--field", FIELD_ARGS),
+                       ("--delta", INT_ARGS)],
+    ("dejonquieres", "decompose"): [("--field", FIELD_ARGS), ("--poly", POLY_ARGS)],
+    ("biglink", "c5"): [("--field", FIELD_ARGS), ("--orbit4", POLY_ARGS), ("--rpoly", POLY_ARGS)],
+    ("biglink", "c6"): [("--field", FIELD_ARGS), ("--pair", POLY_ARGS), ("--pair2", POLY_ARGS),
+                        ("--rpoly", POLY_ARGS)],
+    ("catalog", "validate"): [("--in", FILE)],
+    ("report", "refined"): [("--field", FIELD_ARGS), ("--bound", INT_ARGS)],
+    ("audit", "sym4"): [],
+}
+CONTRACT_SECONDS = 10
+
+
+class Overtime(Exception):
+    pass
+
+
+def contract(argv, capsys):
+    """Run cli.main(argv) under a time bound and check the CLI contract:
+    exit 0, 1 or 2, error JSON on stderr and nothing on stdout for exit 1,
+    and no exception escaping.  Returns the exit code."""
+
+    def overtime(signum, frame):
+        raise Overtime(f"{argv} ran past {CONTRACT_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, CONTRACT_SECONDS)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse: usage errors exit 2
+        code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    out = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert out.out == "" and "error" in json.loads(out.err.splitlines()[-1]), argv
+    return code
+
+
+def _write_inputs(tmp_path, files):
+    """Write {name: content} under tmp_path (None: leave it missing)."""
+    paths = {}
+    for i, (name, content) in enumerate(files.items()):
+        path = tmp_path / f"input{i}.json"
+        if content is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(content)
+        paths[name] = str(path)
+    return paths
+
+
+@st.composite
+def argvs(draw):
+    """An argv for one subcommand: each option present or not, values drawn
+    from valid and malformed examples, files from INPUT_FILES by name, and
+    now and then a stray token."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    for flag, values in COMMANDS[command]:
+        if not draw(st.integers(0, 5)):
+            continue
+        if values is FLAG:
+            argv.append(flag)
+        elif values is FILE:
+            argv += [flag, draw(st.sampled_from(sorted(INPUT_FILES)))]
+        else:
+            argv += [flag, draw(st.sampled_from(values))]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--x", "x", "-", "--"])))
+    return argv
+
+
+class TestCliContract:
+    """Exit codes {0, 1, 2}, error JSON on exit 1, no traceback, bounded time,
+    over argv and over mutated word and link JSON."""
+
+    @settings(
+        max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(argv=argvs())
+    def test_argv(self, argv, tmp_path, capsys):
+        paths = _write_inputs(tmp_path, INPUT_FILES)
+        contract([paths.get(a, a) for a in argv], capsys)
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        mutant=st.one_of(mutated(RELATOR), mutated(DEJONQUIERES)),
+        command=st.sampled_from(
+            [["word", "validate"], ["word", "reduce"], ["word", "reorder"], ["homo", "eval"],
+             ["homo", "eval", "--refined"]]
+        ),
+    )
+    def test_word_json(self, mutant, command, tmp_path, capsys):
+        paths = _write_inputs(tmp_path, {"w": json.dumps(mutant)})
+        contract(command + ["--in", paths["w"]], capsys)
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(mutant=mutated(LINK))
+    def test_link_json(self, mutant, tmp_path, capsys):
+        paths = _write_inputs(
+            tmp_path,
+            {"l": json.dumps(mutant), "w": json.dumps({**RELATOR, "letters": [{"link": mutant, "exp": 1}]})},
+        )
+        contract(["catalog", "validate", "--in", paths["l"]], capsys)
+        contract(["word", "validate", "--in", paths["w"]], capsys)
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,46 @@ F3 = PrimeField(3)
 
 def P(field, s):
     return poly_from_string(field, s)
+
+
+def _tower_f81():
+    F9 = ExtensionField(F3, find_irreducible(F3, 2).coeffs)
+    return ExtensionField(F9, find_irreducible(F9, 2).coeffs)
+
+
+def _prime_ext(p, k):
+    F = PrimeField(p)
+    return lambda: ExtensionField(F, find_irreducible(F, k).coeffs)
+
+
+# extension fields whose arithmetic is checked against independent oracles;
+# F81/F9 is a tower, every other one has a prime base
+KERNEL_FIELDS = {
+    "F16": lambda: ExtensionField(F2, P(F2, "t^4+t+1").coeffs),
+    "F27": _prime_ext(3, 3),
+    "F49": _prime_ext(7, 2),
+    "F81/F9": _tower_f81,
+    "F243": _prime_ext(3, 5),
+    "F256": _prime_ext(2, 8),
+    "F2401": _prime_ext(7, 4),
+    "F10201": _prime_ext(101, 2),
+    "F101^4": _prime_ext(101, 4),
+}
+
+
+def _oracle_int(K, a):
+    """Packed integer of an element, from the base digits up."""
+    if isinstance(K, PrimeField):
+        return a
+    b = K.base.size()
+    return sum(_oracle_int(K.base, c) * b**i for i, c in enumerate(a))
+
+
+def _raw_order(K, a):
+    x, n = a, 1
+    while x != K.one:
+        x, n = K._mul_raw(x, a), n + 1
+    return n
 
 
 class TestFactor:
@@ -260,12 +301,70 @@ class TestExtensionField:
         assert F16.elem_from_str("15") == F16.from_packed_int(15)
 
     def test_log_tables_match_raw(self):
-        F16 = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
-        elems = list(F16.elements())
-        F16._ensure_tables()
-        for a in elems:
-            for b in elems:
-                assert F16.mul(a, b) == F16._mul_raw(a, b)
+        for name in ("F16", "F27", "F49", "F81/F9", "F256", "F243", "F10201"):
+            K = KERNEL_FIELDS[name]()
+            elems = list(K.elements())
+            K._ensure_tables()
+            if len(elems) ** 2 <= 20000:
+                pairs = [(a, b) for a in elems for b in elems]
+            else:
+                rng = random.Random(name)
+                pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(20000)]
+            for a, b in pairs:
+                assert K.mul(a, b) == K._mul_raw(a, b)
+            # the tables are the powers of the first primitive element in
+            # elements() order, each walked by repeated raw products
+            q = K.size()
+            g = next(e for e in elems if e and _raw_order(K, e) == q - 1)
+            x = K.one
+            for i in range(q - 1):
+                assert K._exp[i] == x and K._log[x] == i
+                x = K._mul_raw(x, g)
+            assert x == K.one
+
+    @pytest.mark.parametrize("name", ["F256", "F243", "F2401", "F10201", "F101^4", "F81/F9"])
+    def test_kernels_match_poly_oracle(self, name):
+        """add/sub/neg/mul/inv/pow/to_int/from_packed_int against Poly
+        arithmetic modulo the modulus, before and after the log tables
+        exist (F101^4 has more than 65536 elements and never builds them)."""
+        K = KERNEL_FIELDS[name]()
+        base, d, q = K.base, K.degree, K.size()
+        M = Poly(base, K.modulus)
+        rng = random.Random(name)
+
+        def elem():
+            n = rng.choice([0, 1, d // 2, d, d, d])
+            return Poly(base, [base.from_packed_int(rng.randrange(base.size())) for _ in range(n)])
+
+        polys = [Poly(base, ()), Poly(base, (base.one,))] + [elem() for _ in range(40)]
+        pairs = [(a, b) for a in polys for b in polys[:12]]
+        for tables in (False, True):
+            if tables:
+                K._ensure_tables()
+            assert (K._exp is not None) == (tables and q <= K._TABLE_LIMIT)
+            for A, B in pairs:
+                a, b = A.coeffs, B.coeffs
+                assert K.add(a, b) == (A + B).coeffs
+                assert K.sub(a, b) == (A - B).coeffs
+                assert K.mul(a, b) == ((A * B) % M).coeffs
+            for A in polys:
+                a = A.coeffs
+                assert K.neg(a) == (-A).coeffs
+                n = _oracle_int(K, a)
+                assert K.to_int(a) == n and 0 <= n < q
+                assert K.from_packed_int(n) == a
+                if not a:
+                    continue
+                assert ((A * Poly(base, K.inv(a))) % M).coeffs == K.one
+                for e in (0, 1, 2, 7, q - 2, q, 3 * q + 5):
+                    assert K.pow(a, e) == A.pow_mod(e, M).coeffs
+                assert K.pow(a, -3) == K.inv(K.pow(a, 3))
+
+    def test_reducible_modulus_refused_by_tables(self):
+        # x^2 + 1 = (x + 1)^2 over F2: no generator, and the walk used to hang
+        R = ExtensionField(F2, (1, 0, 1), check=False)
+        with pytest.raises(errors.NotIrreducible):
+            R.inv((1, 1))
 
 
 class TestResultant:

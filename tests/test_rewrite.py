@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cremona_kit import errors
 from cremona_kit.fields import PrimeField, find_irreducible
 from cremona_kit.catalog import (
+    CENTER_INF,
     SarkisovLink,
     center_from_poly,
     galois_depth,
@@ -41,6 +43,14 @@ def rng(seed=0):
     return random.Random(seed)
 
 
+def mixed_field_relators():
+    """Seeded relators F0 -> F0 over F2 and over F3."""
+    F3 = PrimeField(3)
+    t2 = [make_link_template(F2, p) for p in make_center_pool(F2, [1, 2, 3])]
+    t3 = [make_link_template(F3, p) for p in make_center_pool(F3, [1, 2, 3])]
+    return random_relator(rng(1), t2, max_len=8), random_relator(rng(2), t3, max_len=8)
+
+
 def four_link_relator(d1=3, d2=17, seed=0):
     r = rng(seed)
     chi1 = instantiate_link(BY_DEPTH[d1], hirzebruch(0), r)
@@ -75,6 +85,23 @@ class TestWordValidate:
         w = word([LinkLetter(bad, 1)])
         verdict = word_validate(w)
         assert not verdict.ok and verdict.reason == "invalid-link"
+
+    def test_mixed_fields_refused(self):
+        # an F2 relator followed by an F3 relator chains F0 -> F0 -> F0
+        w2, w3 = mixed_field_relators()
+        assert word_validate(w2).ok and word_validate(w3).ok
+        verdict = word_validate(w2.concat(w3))
+        assert (verdict.ok, verdict.position, verdict.reason) == (False, len(w2), "field")
+        verdict = word_validate(w3.concat(w2))
+        assert (verdict.ok, verdict.position, verdict.reason) == (False, len(w3), "field")
+
+    def test_field_read_from_orbit_without_center_poly(self):
+        w2, w3 = mixed_field_relators()
+        l = w3.letters[0].link
+        at_inf = dataclasses.replace(l, center=CENTER_INF)
+        w = word(list(w2.letters) + [LinkLetter(at_inf, 1), LinkLetter(at_inf, -1)])
+        verdict = word_validate(w)
+        assert (verdict.ok, verdict.position, verdict.reason) == (False, len(w2), "field")
 
 
 class TestCommuteMove:
