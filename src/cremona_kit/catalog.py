@@ -408,11 +408,10 @@ def cb_class_key(X):
     """Equivalence class of a rational Mori conic bundle.
 
     All Hirzebruch surfaces share one key.  For the degree-5/6 bundles the
-    key is the PGL_3(k) class of the defining orbit over finite fields,
-    named by `orbits.pgl3_form` (which walks the class for q <= 5 and uses
-    frame normalization above), and the canonical minimal-polynomial normal
-    form over Q (two distinct normal forms may still be equivalent;
-    equality of keys is the conservative criterion).
+    key is the PGL_3(k) class of the defining orbit: over a finite field its
+    exact Galois-descent form from `orbits.pgl3_form`, over Q the canonical
+    minimal-polynomial normal form (two distinct normal forms may still be
+    equivalent; equality of keys is the conservative criterion).
     """
     if not X.rational:
         raise NonRational("non-rational conic bundles carry no class key")

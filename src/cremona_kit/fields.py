@@ -470,6 +470,8 @@ class ExtensionField(Field):
         return self._trim(prod)
 
     def pow(self, a, e):
+        if not a and e > 0:
+            return a
         if self._exp is None and self.q is not None:
             self._ensure_tables()
         if self._exp is not None and a:

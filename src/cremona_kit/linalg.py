@@ -6,16 +6,23 @@ arithmetic is exact.
 """
 
 
-def _dot(field, row, v):
-    acc = field.zero
-    for a, b in zip(row, v):
-        acc = field.add(acc, field.mul(a, b))
+def dot(field, u, v):
+    mul, add = field.mul, field.add
+    acc = mul(u[0], v[0])
+    for a, b in zip(u[1:], v[1:]):
+        acc = add(acc, mul(a, b))
     return acc
+
+
+def cross(field, u, v):
+    m, s = field.mul, field.sub
+    return (s(m(u[1], v[2]), m(u[2], v[1])), s(m(u[2], v[0]), m(u[0], v[2])),
+            s(m(u[0], v[1]), m(u[1], v[0])))
 
 
 def mat_mul(field, A, B):
     cols = list(zip(*B))
-    return [[_dot(field, row, col) for col in cols] for row in A]
+    return [[dot(field, row, col) for col in cols] for row in A]
 
 
 def rref(field, A):
@@ -65,31 +72,17 @@ def nullspace(field, A):
 
 
 def det3(field, M):
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    t1 = field.mul(a, field.sub(field.mul(e, i), field.mul(f, h)))
-    t2 = field.mul(b, field.sub(field.mul(d, i), field.mul(f, g)))
-    t3 = field.mul(c, field.sub(field.mul(d, h), field.mul(e, g)))
-    return field.add(field.sub(t1, t2), t3)
+    return dot(field, M[0], cross(field, M[1], M[2]))
 
 
 def inv3(field, M):
-    d = det3(field, M)
+    """The columns of M^-1 are the cross products of M's rows over det M."""
+    cols = [cross(field, M[1], M[2]), cross(field, M[2], M[0]), cross(field, M[0], M[1])]
+    d = dot(field, M[0], cols[0])
     if field.is_zero(d):
         raise ZeroDivisionError("singular 3x3 matrix")
     dinv = field.inv(d)
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        m = field.sub(
-            field.mul(M[rows[0]][cols[0]], M[rows[1]][cols[1]]),
-            field.mul(M[rows[0]][cols[1]], M[rows[1]][cols[0]]),
-        )
-        return field.mul(m, field.neg(field.one)) if (i + j) % 2 else m
-
-    return [[field.mul(dinv, cof(j, i)) for j in range(3)] for i in range(3)]
+    return [[field.mul(dinv, c[i]) for c in cols] for i in range(3)]
 
 
 def solve(field, A, b):

@@ -14,16 +14,17 @@ matching transforms) is computed exactly in explicit extensions; over Q only
 the symbolic normal forms are handled and anything else is refused rather
 than guessed.
 
-PGL_3(F_q)-equivalence is decided in this module only: `pgl3_form` names
-the class of a union of orbits and holds the choice, which `pgl3_classify`
-follows, between walking the whole class along four generators of the group
-(q <= SWEEP_MAX_Q) and frame normalization.
+PGL_3(F_q)-equivalence is decided in this module only, by one Galois-descent
+form for every q (see the PGL_3 section): `pgl3_form` names the class of a
+union of orbits, `pgl3_classify` groups orbits by it and `match_transform`
+composes the matrices that send two sets to their common form.
 """
 
 from dataclasses import dataclass, field as dc_field
 import itertools
 
 from . import linalg
+from .linalg import cross, dot
 from .errors import (
     CollinearTriple,
     DegreeMismatch,
@@ -62,6 +63,7 @@ GP_NO = "no"
 GP_UNKNOWN = "unknown"
 
 EXT_DEGREE_CAP = 64  # desk scale
+CENSUS_CAP = 50_000  # closed points one enumeration may list (F_7: 39,312 of degree 3)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +173,20 @@ def point_sort_key(K, pt):
     return tuple([sort_key(c) for c in pt])
 
 
+def _sorted_points(K, pts):
+    return tuple(sorted((normalize_point(K, p) for p in pts), key=lambda p: point_sort_key(K, p)))
+
+
 def _frobenius(K, pt, q):
     return normalize_point(K, tuple(K.pow(c, q) for c in pt))
+
+
+def _frobenius_orbit(K, pt, q):
+    """[pt, sigma pt, sigma^2 pt, ...] for a normalized point pt."""
+    orbit = [pt]
+    while (nxt := _frobenius(K, orbit[-1], q)) != pt:
+        orbit.append(nxt)
+    return orbit
 
 
 def _roots_via_frobenius(K, f, q):
@@ -235,8 +249,7 @@ def materialize_points(orbit, K=None, q=None):
                 return Poly(K, [_lift(K, base, ci) for ci in c])(root)
 
             pts = [tuple(convert(c) for c in pt) for pt in orbit.points]
-        pts = sorted((normalize_point(K, p) for p in pts), key=lambda p: point_sort_key(K, p))
-        return K, tuple(pts)
+        return K, _sorted_points(K, pts)
     if orbit.template in (CONIC, LINE):
         f = orbit.min_poly
         if K is None:
@@ -252,8 +265,7 @@ def materialize_points(orbit, K=None, q=None):
             pts = [(one, r, K.mul(r, r)) for r in roots]
         else:
             pts = [(zero, one, r) for r in roots]
-        pts = sorted((normalize_point(K, p) for p in pts), key=lambda p: point_sort_key(K, p))
-        return K, tuple(pts)
+        return K, _sorted_points(K, pts)
     if orbit.template == SPLIT:
         f, g = orbit.min_poly, orbit.min_poly2
         if K is None:
@@ -265,8 +277,7 @@ def materialize_points(orbit, K=None, q=None):
         rb = roots_in_field(g, K)
         one, zero = K.one, K.zero
         pts = [(one, a, zero) for a in ra] + [(one, zero, b) for b in rb]
-        pts = sorted((normalize_point(K, p) for p in pts), key=lambda p: point_sort_key(K, p))
-        return K, tuple(pts)
+        return K, _sorted_points(K, pts)
     raise BadInput(f"unknown template {orbit.template}")
 
 
@@ -309,12 +320,7 @@ def orbit_from_poly(field, f, template, second_poly=None, allow_unverified=False
 
 
 def explicit_orbit(field, K, pts, min_poly=None, check_gp=True):
-    pts = tuple(
-        sorted(
-            (normalize_point(K, p) for p in pts),
-            key=lambda p: point_sort_key(K, p),
-        )
-    )
+    pts = _sorted_points(K, pts)
     if min_poly is None:
         if isinstance(K, ExtensionField) and K != field:
             min_poly = Poly(field, K.modulus)
@@ -341,10 +347,8 @@ def explicit_orbit(field, K, pts, min_poly=None, check_gp=True):
 
 def general_position_points(K, pts):
     """True, or a witness collinear triple."""
-    if len(pts) < 3:
-        return True
     for a, b, c in itertools.combinations(pts, 3):
-        if K.is_zero(linalg.det3(K, [list(a), list(b), list(c)])):
+        if not linalg.det3(K, (a, b, c)):
             return (a, b, c)
     return True
 
@@ -403,7 +407,9 @@ def common_coordinate_field(base, orbits):
         raise ScaleExceeded(f"compositum degree {n} exceeds {EXT_DEGREE_CAP}")
     if n == 1:
         return base
-    return ExtensionField(base, find_irreducible(base, n).coeffs, check=False)
+    K = ExtensionField(base, find_irreducible(base, n).coeffs, check=False)
+    # an orbit already in K brings the log/exp tables its field has built
+    return next((o.coord_field for o in orbits if o.coord_field == K), K)
 
 
 def _points_in(K, orbits):
@@ -435,64 +441,39 @@ def enumerate_point_orbits(field, n):
     if not field.is_finite():
         raise UnsupportedField("enumeration needs a finite field")
     q = field.size()
-    if q ** n > 2 ** 32:
-        raise ScaleExceeded(f"q^n = {q ** n} exceeds 2^32")
+    if n < 1:
+        raise BadInput(f"orbit size must be positive, got {n}")
+    if n > EXT_DEGREE_CAP or closed_point_count(q, n) > CENSUS_CAP:
+        raise ScaleExceeded(f"more than {CENSUS_CAP} closed points of degree {n} over F_{q}")
     K = field if n == 1 else ExtensionField(field, find_irreducible(field, n).coeffs, check=False)
 
-    def all_points():
-        elems = sorted(K.elements(), key=K.to_int)
-        yield (K.zero, K.zero, K.one)
-        for c in elems:
-            yield (K.zero, K.one, c)
-        for b in elems:
-            for c in elems:
-                yield (K.one, b, c)
-
-    orbits = []
-    seen = set()
-    for pt in all_points():
-        key = point_sort_key(K, pt)
-        if key in seen:
-            continue
-        orbit_pts = [pt]
-        seen.add(key)
-        cur = _frobenius(K, pt, q)
-        while point_sort_key(K, cur) != key:
-            orbit_pts.append(cur)
-            seen.add(point_sort_key(K, cur))
-            cur = _frobenius(K, cur, q)
-        if len(orbit_pts) == n:
-            orbits.append(explicit_orbit(field, K, orbit_pts))
+    elems = sorted(K.elements(), key=K.to_int)
+    points = itertools.chain(
+        [(K.zero, K.zero, K.one)], ((K.zero, K.one, c) for c in elems),
+        ((K.one, b, c) for b in elems for c in elems),
+    )
+    orbits, seen = [], set()
+    for pt in points:  # normalized, so points compare as tuples
+        if pt not in seen:
+            orbit_pts = _frobenius_orbit(K, pt, q)
+            seen.update(orbit_pts)
+            if len(orbit_pts) == n:
+                orbits.append(explicit_orbit(field, K, orbit_pts))
     orbits.sort(key=lambda o: o.key())
     assert len(orbits) == closed_point_count(q, n)
     return orbits
 
 
 # ---------------------------------------------------------------------------
-# PGL_3 classification
-
-# Largest q whose PGL_3(F_q)-classes are walked whole; above it they come
-# from frame normalization (one 4-point class over F_7 has about 10^6 sets).
-SWEEP_MAX_Q = 5
-
-
-def _pgl3_generators(field):
-    """(12), (123), I + E_12 and diag(g, 1, 1) for the least primitive g, left
-    out over F_2.  Diagonal matrices conjugate I + E_12 into every I + tE_12
-    and permutations into every elementary transvection; these generate SL_3
-    (Steinberg), and diag(g, 1, 1) reaches every determinant."""
-    q, o, z = field.size(), field.one, field.zero
-    g = next(
-        g for g in sorted(field.elements(), key=field.to_int)[1:]
-        if len({field.to_int(field.pow(g, k)) for k in range(1, q)}) == q - 1
-    )
-    gens = [
-        [[z, o, z], [o, z, z], [z, z, o]],
-        [[z, z, o], [o, z, z], [z, o, z]],
-        [[o, o, z], [z, o, z], [z, z, o]],
-        [[g, z, z], [z, o, z], [z, z, o]],
-    ]
-    return gens if g != o else gens[:3]
+# PGL_3 classification by Galois descent
+#
+# sigma raises coordinates to the q-th power.  Let A send a frame T of the
+# point set S to the standard frame and put c = A sigma(A)^-1.  A rational g
+# commutes with sigma, so gT gives the same c and A.S; conversely, if
+# (c, A.S) = (c', A'.S'), sigma fixes g = A'^-1 A up to a scalar, so g is
+# rational (Hilbert 90) and gS = S'.  The least pair over a family of frames
+# that rational maps carry onto each other names the class.  On the cycles
+# T meets, A.sigma^k(x) = (c sigma)^k(A.x): only the other points U count.
 
 
 def apply_matrix(K, lifted_rows, pt):
@@ -516,63 +497,141 @@ def _set_key(K, pts):
     return tuple(sorted(point_sort_key(K, p) for p in pts))
 
 
-def _image_key(K, rows, pts):
-    """Set key of the image of pts under the matrix rows over K."""
-    return _set_key(K, [apply_matrix(K, rows, p) for p in pts])
+def _cycles(K, pts, q):
+    """The Frobenius-stable list pts of normalized points as cycles."""
+    cycles, seen = [], set()
+    for p in pts:
+        if p not in seen:
+            cycles.append(_frobenius_orbit(K, p, q))
+            seen.update(cycles[-1])
+    return cycles
 
 
-def _class_walk(field, K, pts):
-    """Set keys of every image of the point set pts (in K) under PGL_3(field),
-    walked breadth first along the generators."""
-    gens = [lift_matrix(K, field, M) for M in _pgl3_generators(field)]
-    todo, seen = [pts], {_set_key(K, pts)}
-    for cur in todo:
-        for rows in gens:
-            img = [apply_matrix(K, rows, p) for p in cur]
-            key = _set_key(K, img)
-            if key not in seen:
-                seen.add(key)
-                todo.append(img)
-    return seen
+def _frame(K, tup):
+    """(A, lam, mu, det) for d + 1 points tup of P^(d-1), d = 2 or 3; None if
+    they are no frame.  rows, the adjugate of P = (tup_0 .. tup_d-1), has
+    rows_i . tup_j = det if i = j else 0; M = P diag(lam), lam = rows . tup_d,
+    sends the standard frame onto tup, and A = diag(mu) rows, mu_i the
+    product of the other lam_j, is proportional to M^-1."""
+    d, mul = len(tup) - 1, K.mul
+    if d == 2:
+        rows = [(tup[1][1], K.neg(tup[1][0])), (K.neg(tup[0][1]), tup[0][0])]
+    else:
+        rows = [cross(K, tup[(i + 1) % 3], tup[(i + 2) % 3]) for i in range(3)]
+    det, lam = dot(K, rows[0], tup[0]), [dot(K, r, tup[d]) for r in rows]
+    if not det or not all(lam):  # zero is falsy in every field
+        return None
+    mu = lam[::-1] if d == 2 else (mul(lam[1], lam[2]), mul(lam[0], lam[2]), mul(lam[0], lam[1]))
+    return [[mul(m, x) for x in r] for m, r in zip(mu, rows)], lam, mu, det
+
+
+def _frames(K, cycles):
+    """(tuple, _frame) for the frames of the least pattern that has any,
+    tuples of (cycle, exponent) entries with the first at exponent 0.  An
+    entry's pattern is (0, j, e) for sigma^e of entry j, or (1, L) when it
+    opens a cycle of length L; rational maps and sigma keep patterns."""
+    m, by_length = len(cycles[0][0]) + 1, {}
+    for ci, cyc in enumerate(cycles):
+        by_length.setdefault(len(cyc), []).append(ci)
+
+    def pts(t):
+        return [cycles[ci][e % len(cycles[ci])] for ci, e in t]
+
+    def search(pattern, partial):
+        if len(pattern) == 3 == m - 1:  # no frame extends 3 collinear points
+            partial = [t for t in partial if dot(K, cross(K, *pts(t)[:2]), pts(t)[2])]
+        if len(pattern) == m:
+            return [(t, fr) for t in partial for fr in [_frame(K, pts(t))] if fr]
+        same = (
+            ((0, j, e), [t + ((t[j][0], t[j][1] + e),) for t in partial])
+            for j, entry in enumerate(pattern) if entry[0]
+            for e in range(1, entry[1]) if (0, j, e) not in pattern
+        )
+        new = (
+            ((1, L), [t + ((ci, e),) for t in partial for ci in cis
+                      if all(ci != x[0] for x in t) for e in range(L if pattern else 1)])
+            for L, cis in sorted(by_length.items())
+        )
+        for entry, nxt in itertools.chain(same, new):
+            found = nxt and search(pattern + [entry], nxt)
+            if found:
+                return found
+        return []
+
+    return search([], [()])
+
+
+def _twist_form(K, q, cycles):
+    """(key, A): the least (c, A.U) over _frames and their sigma-images, and
+    the A that attains it; None when the points have no frame."""
+    mul = K.mul
+
+    def sigma(x, i):
+        return K.pow(x, q ** i) if i and x else x
+
+    best = None
+    for t, (A, lam, mu, det) in _frames(K, cycles):
+        d, at = len(lam), {(ci, e % len(cycles[ci])): j for j, (ci, e) in enumerate(t)}
+        cols = []  # c = A sigma(M): column k is sigma(lam_k) A.sigma(t_k)
+        for k, (ci, e) in enumerate(t[:d]):
+            img = (ci, (e + 1) % len(cycles[ci]))
+            j = at.get(img)  # A.t_j is mu_j det e_j, and A.t_d is mu_i lam_i for every i
+            col = (
+                [dot(K, row, cycles[ci][img[1]]) for row in A] if j is None
+                else [mul(mu[0], lam[0])] * d if j == d
+                else [mul(mu[j], det) if i == j else K.zero for i in range(d)]
+            )
+            cols.append([mul(K.pow(lam[k], q), x) for x in col])
+        flat = [x for row in _normalize_matrix(K, list(zip(*cols))) for x in row]
+        met = {ci for ci, _ in t}
+        rest = [apply_matrix(K, A, p) for ci, c in enumerate(cycles) if ci not in met for p in c]
+        shifts = range(len(cycles[t[0][0]]))
+        if not rest:  # the least sigma^i(c), narrowed entry by entry
+            for x in flat if any(sigma(x, 1) != x for x in flat) else ():
+                keys = [K.sort_key(sigma(x, i)) for i in shifts]
+                shifts = [i for i, k in zip(shifts, keys) if k == min(keys)]
+            shifts = shifts[:1]
+        for i in shifts:
+            key = (tuple([K.sort_key(sigma(x, i)) for x in flat]),
+                   _set_key(K, [[sigma(x, i) for x in p] for p in rest]))
+            if best is None or key < best[0]:
+                best = key, [[sigma(x, i) for x in row] for row in A]
+    return best
+
+
+def _descent(K, pts, q):
+    """(form, A) of a Frobenius-stable list of distinct points in P^2(K).
+
+    At most 3 points: the ordered configuration has a connected stabilizer,
+    so by Lang's theorem incidence and the Frobenius cycle type name the
+    class.  Sets with a frame: _twist_form's key, A sending the set to it.
+    Other sets lie on a line L but for at most one point (so L and that
+    point are rational): the PGL_2 descent of the points on L, in the
+    coordinates left when one that L's equation involves is dropped.
+    """
+    cycles = _cycles(K, pts, q)
+    if len(pts) <= 3:
+        flat = len(pts) == 3 and not linalg.det3(K, pts)
+        lengths = "+".join(str(n) for n in sorted((len(c) for c in cycles), reverse=True))
+        return f"points:{'line' if flat else 'free'}:{lengths}", None
+    found, kind = _twist_form(K, q, cycles), "frame"
+    if found is None:
+        lines = (cross(K, u, v) for u, v in itertools.combinations(pts[:3], 2))
+        line = next(ln for ln in lines if sum(1 for p in pts if dot(K, ln, p)) <= 1)
+        j = next(i for i, x in enumerate(line) if x)
+        on = [[normalize_point(K, p[:j] + p[j + 1:]) for p in c]
+              for c in cycles if not dot(K, line, c[0])]
+        found, kind = _twist_form(K, q, on), "line" if len(on) == len(cycles) else "line+point"
+    (c, rest), A = found
+    form = ",".join(map(str, c)) + "".join(";" + ",".join(map(str, p)) for p in rest)
+    return f"{kind}:{form}", A if kind == "frame" else None
 
 
 def pgl3_form(field, orbits):
-    """Canonical form string of a union of orbits under PGL_3(field).
-
-    q <= SWEEP_MAX_Q: the least set key that _class_walk visits.  Larger q:
-    the least image under the matrices that send an ordered general-position
-    4-subset onto the standard frame; unions without such a subset are
-    refused.  pgl3_classify makes the same choice.
-    """
+    """Canonical form of a union of orbits over a finite field: forms agree
+    exactly when a matrix of PGL_3(field) maps one union onto the other."""
     K = common_coordinate_field(field, orbits)
-    pts = _points_in(K, orbits)
-    if field.size() > SWEEP_MAX_Q:
-        return _frame_form(K, pts)
-    return str(min(_class_walk(field, K, pts)))
-
-
-def _frame_form(K, pts):
-    forms = (
-        _image_key(K, linalg.inv3(K, _frame_matrix(K, quad)), pts)
-        for quad in itertools.permutations(pts, 4)
-        if general_position_points(K, quad) is True
-    )
-    best = min(forms, default=None)
-    if best is None:
-        raise ScaleExceeded(
-            f"frame normalization needs 4 points in general position (q > {SWEEP_MAX_Q})"
-        )
-    return str(best)
-
-
-def _frame_matrix(K, frame):
-    """Matrix sending the standard frame e1,e2,e3,(1,1,1) to the 4 points."""
-    p1, p2, p3, p4 = frame
-    A = [[p1[i], p2[i], p3[i]] for i in range(3)]
-    c = linalg.solve(K, A, list(p4))
-    if c is None or any(K.is_zero(ci) for ci in c):
-        raise CollinearTriple("frame points are degenerate")
-    return [[K.mul(c[j], A[i][j]) for j in range(3)] for i in range(3)]
+    return _descent(K, _points_in(K, orbits), field.size())[0]
 
 
 @dataclass
@@ -592,37 +651,24 @@ GENERAL_POSITION_ONLY = "GeneralPositionOnly"
 
 
 def pgl3_classify(orbits, field, filter=ALL):
-    """Partition orbits into PGL_3(field)-equivalence classes.
-
-    All orbits of one size are materialized in the same canonical
-    coordinate extension, so orbits built from different minimal
-    polynomials compare correctly.  The method is pgl3_form's: for
-    q <= SWEEP_MAX_Q one class walk per class, which collects every member;
-    above it, orbits are grouped by their frame normalization, and orbits
-    without 4 points in general position are refused.
-    """
+    """Partition orbits into PGL_3(field)-equivalence classes by their
+    forms, orbits of one size materialized in one canonical extension."""
     if filter == GENERAL_POSITION_ONLY:
         orbits = [o for o in orbits if o.general_position == GP_YES]
     orbits = sorted(orbits, key=lambda o: (o.size, o.key()))
     q = field.size()
-    strategy = "exhaustive" if q <= SWEEP_MAX_Q else "frame-normalization"
     classes = []
     for size, group in itertools.groupby(orbits, key=lambda o: o.size):
         group = list(group)
         K = common_coordinate_field(field, group)
-        forms, pending = {}, {}  # pending: set key -> (points, orbits)
+        forms = {}
         for o in group:
-            pts = materialize_points(o, K=K)[1]
-            if q > SWEEP_MAX_Q:
-                forms.setdefault(_frame_form(K, pts), []).append(o)
-            else:
-                pending.setdefault(_set_key(K, pts), (pts, []))[1].append(o)
-        while pending:
-            images = _class_walk(field, K, next(iter(pending.values()))[0])
-            members = [o for img in images if img in pending for o in pending.pop(img)[1]]
-            forms[str(min(images))] = sorted(members, key=lambda o: o.key())
+            memo = o.__dict__.setdefault("_forms", {})  # kept on the orbit, as key() is
+            if K not in memo:
+                memo[K] = _descent(*materialize_points(o, K=K), q)[0]
+            forms.setdefault(memo[K], []).append(o)
         classes.extend(
-            OrbitClass(f"pgl3[q={q},n={size}]:{form}", members[0], tuple(members), strategy)
+            OrbitClass(f"pgl3[q={q},n={size}]:{form}", members[0], tuple(members), "galois-descent")
             for form, members in forms.items()
         )
     classes.sort(key=lambda c: (c.representative.size, c.class_id))
@@ -633,36 +679,16 @@ def pgl3_classify(orbits, field, filter=ALL):
 # matching transforms
 
 
-@dataclass(frozen=True)
-class PermutationActionFingerprint:
-    generator_images: tuple  # one permutation (image tuple) per generator
-
-
-def frobenius_fingerprint(K, pts, q):
-    """Permutation induced by x -> x^q on the labeled point list."""
-    keys = [point_sort_key(K, p) for p in pts]
-    images = []
-    for p in pts:
-        images.append(keys.index(point_sort_key(K, _frobenius(K, p, q))))
-    return PermutationActionFingerprint((tuple(images),))
-
-
-def _collect_points(arg):
-    if isinstance(arg, PointOrbit):
-        return [arg]
-    return list(arg)
-
-
 def match_transform(P, Q):
     """A matrix of PGL_3(k) sending the 4-point set P onto Q, or None.
 
-    Full search over labelings: the frame matrix for each labeling is
-    accepted when the substitution check passes and, over a finite field,
-    when the labeling commutes with Frobenius and the entries are
-    Frobenius-fixed.  Over Q only identical normal forms and fully rational
-    explicit sets are decided; anything else is NoMatch.
+    Over a finite field the sets match exactly when their descent forms
+    agree, and then A_Q^-1 A_P is rational; sets whose Frobenius cycle types
+    differ raise FingerprintMismatch.  Over Q only identical normal forms and
+    fully rational explicit sets (point i of P onto point i of Q) are
+    decided; anything else is NoMatch.
     """
-    P_orbits, Q_orbits = _collect_points(P), _collect_points(Q)
+    P_orbits, Q_orbits = ([X] if isinstance(X, PointOrbit) else list(X) for X in (P, Q))
     fields = {o.field for o in P_orbits + Q_orbits}
     if len(fields) != 1:
         raise IncompatibleFields("orbit sets live over different fields")
@@ -688,30 +714,17 @@ def match_transform(P, Q):
     if general_position_points(K, pts_q) is not True:
         raise CollinearTriple("Q contains a collinear triple")
 
-    labelings = list(itertools.permutations(range(4)))
     if finite:
         q = base.size()
-        sigma_p = frobenius_fingerprint(K, pts_p, q).generator_images[0]
-        sigma_q = frobenius_fingerprint(K, pts_q, q).generator_images[0]
-        labelings = [
-            pi for pi in labelings if all(pi[sigma_p[i]] == sigma_q[pi[i]] for i in range(4))
-        ]
-        if not labelings:
+        if sorted(map(len, _cycles(K, pts_p, q))) != sorted(map(len, _cycles(K, pts_q, q))):
             raise FingerprintMismatch("Galois actions on the two sets are incompatible")
-
-    MP_inv = linalg.inv3(K, _frame_matrix(K, pts_p))
-    for pi in labelings:
-        MQ = _frame_matrix(K, [pts_q[pi[i]] for i in range(4)])
-        A = _normalize_matrix(K, linalg.mat_mul(K, MQ, MP_inv))
-        if finite and not _matrix_frobenius_fixed(K, A, q):
-            continue
-        if all(
-            point_sort_key(K, apply_matrix(K, A, pts_p[i]))
-            == point_sort_key(K, pts_q[pi[i]])
-            for i in range(4)
-        ):
-            return [[_descend(K, base, x) for x in row] for row in A]
-    return None
+        (form_p, A_p), (form_q, A_q) = _descent(K, pts_p, q), _descent(K, pts_q, q)
+        if form_p != form_q:
+            return None
+    else:
+        A_p, A_q = _frame(K, pts_p)[0], _frame(K, pts_q)[0]
+    A = _normalize_matrix(K, linalg.mat_mul(K, linalg.inv3(K, A_q), A_p))
+    return [[_descend(K, base, x) for x in row] for row in A]
 
 
 def _normalize_matrix(K, A):
@@ -721,22 +734,13 @@ def _normalize_matrix(K, A):
     return [[K.mul(inv, x) for x in row] for row in A]
 
 
-def _matrix_frobenius_fixed(K, A, q):
-    for row in A:
-        for x in row:
-            if K.pow(x, q) != x:
-                return False
-    return True
-
-
 def _descend(K, base, x):
-    """Extract the base-field value of a Frobenius-fixed element of K."""
+    """The base-field value of an element of K = base or of K over base."""
     if K == base:
         return x
     if len(x) > 1:
         raise BadInput("element is not in the base field")
-    inner = x[0] if x else K.base.zero
-    return _descend(K.base, base, inner) if K.base != base else inner
+    return x[0] if x else base.zero
 
 
 # ---------------------------------------------------------------------------

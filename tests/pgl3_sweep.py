@@ -1,8 +1,8 @@
 """Test oracle: PGL_3(F_q) as the list of all its normalized matrices.
 
-The library walks PGL_3(F_q)-classes along four generators of the group;
-the tests compare that walk against this independent scan of all q^9 entry
-tuples, which is practical for q <= 3.
+The tests compare the library's Galois-descent classes, and the class walk
+of `pgl3_walk.py`, against this independent scan of all q^9 entry tuples,
+which is practical for q <= 3.
 """
 
 import functools

@@ -32,7 +32,9 @@ from cremona_kit.orbits import (
 from cremona_kit.catalog import (
     SarkisovLink,
     VERTICALS,
+    cb_class_key,
     center_from_poly,
+    conic_bundle5,
     dp5_incidence,
     hirzebruch,
     link_validate,
@@ -238,6 +240,15 @@ def test_criterion_7_f2_orbit_census():
         size4_all = pgl3_classify(counts[4], F2, filter=ALL)
         # reported without an asserted target
         print(f"  [unfiltered size-4 class count over F2: {len(size4_all)}]")
+
+
+def test_f5_conic_quartic_key():
+    # the class walk this key once took visited 93,000 sets (11-15 s)
+    F5 = PrimeField(5)
+    model = conic_bundle5(orbit_from_poly(F5, find_irreducible(F5, 4), CONIC))
+    with budget("F5 key", "cb_class_key of one F5 conic-form quartic", 1.0):
+        key = cb_class_key(model)
+    assert key.family == "dp5" and key.class_id.startswith("pgl3[q=5]:frame:")
 
 
 def test_criterion_8_example_c5_link():

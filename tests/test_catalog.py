@@ -14,6 +14,7 @@ from cremona_kit.orbits import (
     lift_matrix,
     materialize_points,
     orbit_from_poly,
+    point_sort_key,
 )
 from cremona_kit.catalog import (
     CENTER_INF,
@@ -91,12 +92,11 @@ def key_model(field, family):
     return conic_bundle5(orb)
 
 
-def sweep_class_id(field, orbits):
-    """Oracle: the least image of the union of orbits over all of
-    PGL_3(field), written out independently of orbits.pgl3_form."""
-    K = common_coordinate_field(field, orbits)
-    pts = [p for o in orbits for p in materialize_points(o, K=K)[1]]
-    return f"pgl3[q={field.size()}]:{min(sweep_images(field, K, pts))}"
+def split_cb5(field):
+    """A CB5 model on a split pair: four points in general position on which
+    Frobenius acts as two 2-cycles."""
+    quad = find_irreducible(field, 2)
+    return conic_bundle5(orbit_from_poly(field, quad, SPLIT, second_poly=quad))
 
 
 class TestInvariants:
@@ -302,16 +302,26 @@ class TestClassKeys:
         "q,family", [(2, "cb5"), (2, "cb5x"), (2, "cb6"), (3, "cb5"), (3, "cb6")]
     )
     def test_matches_exhaustive_sweep(self, q, family):
+        # equal keys exactly when one of all the matrices of PGL_3(F_q) maps
+        # one orbit onto the other
         field = PrimeField(q)
         X = key_model(field, family)
-        assert cb_class_key(X).class_id == sweep_class_id(field, [X.orbit])
+        others = [key_model(field, f) for f in ("cb5", "cb5x", "cb6")] + [split_cb5(field)]
+        K = common_coordinate_field(field, [X.orbit] + [Y.orbit for Y in others])
+        images = sweep_images(field, K, materialize_points(X.orbit, K=K)[1])
+        for Y in others:
+            pts = materialize_points(Y.orbit, K=K)[1]
+            same = X.kind == Y.kind and tuple(sorted(point_sort_key(K, p) for p in pts)) in images
+            assert (cb_class_key(X) == cb_class_key(Y)) == same
 
     @pytest.mark.parametrize("q", [7, 101])
     def test_frame_keys_pinned(self, q):
+        # above q = 5 keys still follow the matrix and separate Galois types
         F = PrimeField(q)
-        frame = f"pgl3[q={q}]:((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))"
-        assert cb_class_key(key_model(F, "cb5")) == ConicBundleClassKey("dp5", frame)
-        assert cb_class_key(key_model(F, "cb6")) == ConicBundleClassKey("dp6", frame)
+        k5 = cb_class_key(key_model(F, "cb5"))
+        assert k5.class_id.startswith(f"pgl3[q={q}]:frame:")
+        assert cb_class_key(key_model(F, "cb5x")) == k5
+        assert cb_class_key(split_cb5(F)) != k5
 
     def test_non_rational_refused(self):
         with pytest.raises(errors.NonRational):

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import signal
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -178,6 +179,15 @@ class TestCensusOutput:
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert rows[0] == ["2", "2", "All", "7", "1"]
         assert rows[1] == ["2", "2", "GeneralPositionOnly", "7", "1"]
+
+    @pytest.mark.parametrize("command", ["census", "classify"])
+    def test_oversized_census_refused_at_once(self, command, capsys):
+        # 1,441,188 degree-4 points over F7: refused before enumeration
+        start = time.perf_counter()
+        code, out, err = run(["orbit", command, "--field", "F7", "--size", "4"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == "ScaleExceeded"
 
 
 class TestErrors:

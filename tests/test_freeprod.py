@@ -191,23 +191,42 @@ class TestHomoEval:
         assert factors[F2].class_id.startswith("pgl3[q=2]:")
 
 
-def cb5_letter(depth):
-    orb = orbit_from_poly(F2, poly_from_string(F2, "t^4+t+1"), CONIC)
-    model = conic_bundle5(orb)
+def cb5_letter(depth, model=None):
+    """A type II letter of the given depth from a CB5 model to itself (by
+    default the model on the F2 conic-form quartic t^4+t+1)."""
+    if model is None:
+        model = conic_bundle5(orbit_from_poly(F2, poly_from_string(F2, "t^4+t+1"), CONIC))
     from cremona_kit.catalog import SarkisovLink, center_from_poly
     from cremona_kit.orbits import GP_NO, LINE, PointOrbit
 
-    poly = find_irreducible(F2, depth)
+    field = model.orbit.field
+    poly = find_irreducible(field, depth)
     link = SarkisovLink(
         "II",
         model,
         model,
-        orbit_src=PointOrbit(F2, LINE, depth, poly, general_position=GP_NO),
+        orbit_src=PointOrbit(field, LINE, depth, poly, general_position=GP_NO),
         orbit_tgt=None,
         center=center_from_poly(poly),
         depth=depth,
     )
     return LinkLetter(link, 1)
+
+
+def test_f7_conic_quartic_and_split_pair_differ():
+    # Frobenius acts on the conic quartic as a 4-cycle and on the split pair
+    # as two 2-cycles: two PGL_3(F_7)-classes, two keys, two free factors
+    from cremona_kit.orbits import pgl3_classify
+
+    F7 = PrimeField(7)
+    quad = find_irreducible(F7, 2)
+    conic = orbit_from_poly(F7, find_irreducible(F7, 4), CONIC)
+    split = orbit_from_poly(F7, quad, SPLIT, second_poly=quad)
+    models = [conic_bundle5(conic), conic_bundle5(split)]
+    assert cb_class_key(models[0]) != cb_class_key(models[1])
+    factors = [homo_eval(word([cb5_letter(17, X)])).word[0][0] for X in models]
+    assert factors[0] != factors[1]
+    assert len(pgl3_classify([conic, split], F7)) == 2
 
 
 class TestRefined:

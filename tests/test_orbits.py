@@ -14,6 +14,7 @@ from cremona_kit.fields import (
 )
 from cremona_kit.orbits import (
     ALL,
+    CENSUS_CAP,
     CONIC,
     EXPLICIT,
     GENERAL_POSITION_ONLY,
@@ -24,9 +25,9 @@ from cremona_kit.orbits import (
     SPLIT,
     apply_matrix,
     closed_point_count,
+    common_coordinate_field,
     enumerate_point_orbits,
     explicit_orbit,
-    frobenius_fingerprint,
     general_position_check,
     general_position_points,
     large_orbit,
@@ -38,13 +39,15 @@ from cremona_kit.orbits import (
     orbit_to_json,
     perm_cycles,
     pgl3_classify,
+    pgl3_form,
     point_sort_key,
     transitive_sym4_audit,
 )
 
 from cremona_kit.linalg import mat_mul
-from cremona_kit.orbits import _normalize_matrix, _pgl3_generators
+from cremona_kit.orbits import _cycles, _normalize_matrix
 from pgl3_sweep import pgl3_matrices, sweep_images
+from pgl3_walk import class_walk, partition, pgl3_generators, walk_partition
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -55,6 +58,12 @@ def P(field, s):
 
 
 import functools
+
+
+def field_of_size(q):
+    if q == 4:
+        return ExtensionField(F2, find_irreducible(F2, 2).coeffs)
+    return PrimeField(q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,6 +201,14 @@ class TestEnumeration:
         with pytest.raises(errors.ScaleExceeded):
             enumerate_point_orbits(F2, 33)
 
+    def test_census_cap_is_checked_first(self):
+        # 1,441,188 degree-4 points over F7: refused before any is listed
+        assert closed_point_count(7, 4) > CENSUS_CAP >= closed_point_count(7, 3)
+        with pytest.raises(errors.ScaleExceeded):
+            enumerate_point_orbits(PrimeField(7), 4)
+        with pytest.raises(errors.BadInput):
+            enumerate_point_orbits(F2, 0)
+
 
 class TestClassification:
     def test_size2_one_class(self):
@@ -237,7 +254,7 @@ class TestClassification:
         # |PGL_3(F_q)| = q^3 (q^3 - 1) (q^2 - 1), and the closure is the
         # whole scanned group
         F = PrimeField(q)
-        gens = _pgl3_generators(F)
+        gens = pgl3_generators(F)
         ident = [[F.one if i == j else F.zero for j in range(3)] for i in range(3)]
         seen = {str(ident)}
         todo = [ident]
@@ -253,8 +270,8 @@ class TestClassification:
     @pytest.mark.parametrize("filt", [ALL, GENERAL_POSITION_ONLY])
     @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)])
     def test_matches_exhaustive_sweep(self, q, n, filt):
-        # class ids and partitions against the images of one member per
-        # class over all of PGL_3(F_q)
+        # partitions against the images of one member per class over all of
+        # PGL_3(F_q)
         F = PrimeField(q)
         oracle = []
         for o in census(q, n):
@@ -266,8 +283,20 @@ class TestClassification:
                 cls = (sweep_images(F, o.coord_field, o.points), [])
                 oracle.append(cls)
             cls[1].append(o.key())
-        got = {c.class_id: sorted(m.key() for m in c.members) for c in classify(q, n, filt)}
-        assert got == {f"pgl3[q={q},n={n}]:{min(imgs)}": sorted(keys) for imgs, keys in oracle}
+        assert partition(classify(q, n, filt)) == sorted(sorted(keys) for _, keys in oracle)
+
+    @pytest.mark.parametrize("filt", [ALL, GENERAL_POSITION_ONLY])
+    @pytest.mark.parametrize(
+        "q,n",
+        [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+        + [(4, n) for n in range(1, 4)] + [(5, 1), (5, 2), (7, 1), (7, 2)],
+    )
+    def test_matches_class_walk(self, q, n, filt):
+        # the walk visits every image of one member per class
+        F = field_of_size(q)
+        orbits = enumerate_point_orbits(F, n)
+        got = partition(pgl3_classify(orbits, F, filter=filt))
+        assert got == walk_partition(F, orbits, filt)
 
 
 class TestMatchTransform:
@@ -438,20 +467,18 @@ class TestJsonRoundTrip:
 
 
 def test_fingerprint_is_permutation():
+    # Frobenius permutes the points of a transitive orbit in one 4-cycle
     o = orbit_from_poly(F2, P(F2, "t^4+t+1"), CONIC)
     K, pts = materialize_points(o)
-    fp = frobenius_fingerprint(K, pts, 2).generator_images[0]
-    assert sorted(fp) == [0, 1, 2, 3]
-    # transitive single orbit: the permutation is a 4-cycle
-    seen, i = set(), 0
-    while i not in seen:
-        seen.add(i)
-        i = fp[i]
-    assert len(seen) == 4
+    (cycle,) = _cycles(K, pts, 2)
+    assert sorted(cycle) == sorted(pts)
+    assert [point_sort_key(K, p) for p in cycle[1:] + cycle[:1]] == [
+        point_sort_key(K, tuple(K.pow(c, 2) for c in p)) for p in cycle
+    ]
 
 
 class TestFrameNormalization:
-    """q > 5 uses frame normalization instead of the exhaustive sweep."""
+    """Above q = 5 classes come from the same descent as below it."""
 
     def test_equivalent_orbits_merge(self):
         F7 = PrimeField(7)
@@ -462,13 +489,17 @@ class TestFrameNormalization:
         rows = lift_matrix(K, F7, M)
         o2 = explicit_orbit(F7, K, [apply_matrix(K, rows, p) for p in pts])
         classes = pgl3_classify([o1, o2], F7)
-        assert len(classes) == 1 and classes[0].strategy == "frame-normalization"
+        assert len(classes) == 1 and classes[0].strategy == "galois-descent"
 
     def test_no_frame_refused(self):
+        # a 2-point orbit has no 4-point frame; it is classified, not
+        # refused, and its class is the walk oracle's
         F7 = PrimeField(7)
         o = orbit_from_poly(F7, find_irreducible(F7, 2), CONIC)
-        with pytest.raises(errors.ScaleExceeded):
-            pgl3_classify([o], F7)
+        orbits = [o] + census(7, 2)
+        classes = pgl3_classify(orbits, F7)
+        assert partition(classes) == walk_partition(F7, orbits)
+        assert len(classes) == 1 and o in classes[0].members
 
 
 class TestReembedding:
@@ -486,3 +517,42 @@ class TestReembedding:
         o_explicit = explicit_orbit(F2, K2, pts, min_poly=P(F2, "t^4+t^3+1"))
         classes = pgl3_classify([o_conic, o_explicit], F2)
         assert len(classes) == 1 and classes[0].count == 2
+
+
+class TestUnions:
+    """pgl3_form on unions of orbits: rational points, small orbits, sets
+    on a line with one point off it, sets whose frames leave points out."""
+
+    SHAPES = [(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 2), (1, 1, 2), (1, 3), (2, 2),
+              (1, 1, 1, 2)]
+
+    def unions(self, q, count):
+        rng = random.Random(q)
+        by_size = {n: census(q, n) for n in (1, 2, 3)}
+        out = []
+        for shape in self.SHAPES:
+            for _ in range(count):
+                picked = []
+                for n in shape:
+                    picked.append(rng.choice([o for o in by_size[n] if o not in picked]))
+                out.append(picked)
+        return out
+
+    @pytest.mark.parametrize("q,count", [(2, 12), (3, 5)])
+    def test_forms_match_class_walk(self, q, count):
+        # equal forms exactly when the walk from one union reaches the other
+        F = PrimeField(q)
+        unions = self.unions(q, count)
+        K = common_coordinate_field(F, [o for u in unions for o in u])
+        points = [[p for o in u for p in materialize_points(o, K=K)[1]] for u in unions]
+        keys = [tuple(sorted(point_sort_key(K, p) for p in pts)) for pts in points]
+        forms = [pgl3_form(F, u) for u in unions]
+        walks = {}
+        for i, u in enumerate(unions):
+            if keys[i] not in walks:
+                images = class_walk(F, K, points[i])
+                walks.update({img: images for img in images if img in keys})
+            for j in range(i):
+                assert (forms[i] == forms[j]) == (keys[j] in walks[keys[i]]), (u, unions[j])
+        kinds = {f.split(":")[0] for f in forms}
+        assert kinds == {"points", "frame", "line", "line+point"}
