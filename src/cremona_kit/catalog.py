@@ -66,15 +66,19 @@ class MoriFiberSpace:
         return self.kind != NRCB
 
     def key(self):
+        cached = getattr(self, "_key", None)
+        if cached is not None:
+            return cached
         if self.kind == HIRZEBRUCH:
-            return f"F{self.n}"
-        if self.kind == DEL_PEZZO:
-            return f"DP{self.degree}"
-        if self.kind == CB5:
-            return f"CB5[{self.orbit.key()}]"
-        if self.kind == CB6:
-            return f"CB6[{self.orbit.key()}]"
-        return self.kind
+            key = f"F{self.n}"
+        elif self.kind == DEL_PEZZO:
+            key = f"DP{self.degree}"
+        elif self.kind in (CB5, CB6):
+            key = f"{self.kind}[{self.orbit.key()}]"
+        else:
+            key = self.kind
+        object.__setattr__(self, "_key", key)
+        return key
 
     def __repr__(self):
         return self.key()

@@ -41,10 +41,7 @@ def parse_field(name):
         if split is None:
             raise BadInput(f"{q} is not a prime power")
         p, k = split
-        base = fields.PrimeField(p)
-        if k == 1:
-            return base
-        return fields.ExtensionField(base, fields.find_irreducible(base, k).coeffs)
+        return fields.canonical_extension(fields.PrimeField(p), k)
     raise BadInput(f"cannot parse field {name!r} (use Q, F2, F4, F101, ...)")
 
 

@@ -41,6 +41,7 @@ from .fields import (
     IRREDUCIBLE,
     Poly,
     QQ,
+    canonical_extension,
     find_irreducible,
     irreducible_check,
     minimal_polynomial,
@@ -64,7 +65,9 @@ from .orbits import (
     LINE,
     PointOrbit,
     SPLIT,
+    coordinate_field,
     explicit_orbit,
+    frobenius_conjugates,
     orbit_from_poly,
     roots_in_field,
 )
@@ -166,11 +169,8 @@ def _audit_dejonquieres(p):
     if field.is_finite() and d <= 8:
         # separability: the d points [0:1; t_i:1] are distinct, each simple
         assert p.gcd(p.derivative()).is_constant()
-        if d >= 2:
-            K = ExtensionField(field, p.coeffs, check=False)
-            roots = roots_in_field(p, K)
-        else:
-            K, roots = field, roots_in_field(p, field)
+        K = coordinate_field(field, p)
+        roots = roots_in_field(p, K)
         assert len(roots) == d
         for r in roots:
             assert K.is_zero(Poly(K, [_embed(K, field, c) for c in p.coeffs])(r))
@@ -355,12 +355,7 @@ def _parameters_and_center(field, Q1, Q2, r_poly):
         u = field.neg(field.div(b, a))
         return center_from_poly(Poly(field, (field.neg(u), field.one))), 1
     T = ExtensionField(field, r_poly.coeffs, check=False)
-    q = field.size()
-    root = T.gen()
-    roots = [root]
-    for _ in range(D - 1):
-        root = T.pow(root, q)
-        roots.append(root)
+    roots = frobenius_conjugates(T, T.gen(), field.size())
     AT, BT = _lift_poly(T, field, A), _lift_poly(T, field, B)
     params = []
     for r in roots:
@@ -395,11 +390,8 @@ def _minpoly_matches(field, K, elem, r_poly):
 
 def _collinear_c5_finite(field, f, r_poly):
     """q_i on the line through [1:a_k:a_k^2], [1:a_l:a_l^2] iff r_i = a_k+a_l."""
-    if f.degree >= 2:
-        K = ExtensionField(field, f.coeffs, check=False)
-        roots = roots_in_field(f, K)
-    else:
-        K, roots = field, roots_in_field(f, field)
+    K = coordinate_field(field, f)
+    roots = roots_in_field(f, K)
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             s = K.add(roots[i], roots[j])
@@ -414,10 +406,7 @@ def _collinear_c6_finite(field, f, g, r_poly):
     """Lines z=0 (r=0), y=0 (never), and mixed pairs (r = -b/a)."""
     if field.is_zero(r_poly(field.zero)):
         raise CollinearTriple("q at [0:1:0] lies on the line z=0")
-    if f == g and f.degree == 2:
-        K = ExtensionField(field, f.coeffs, check=False)
-    else:
-        K = ExtensionField(field, find_irreducible(field, 2).coeffs, check=False)
+    K = canonical_extension(field, 2)
     ra = roots_in_field(f, K)
     rb = roots_in_field(g, K)
     for a in ra:

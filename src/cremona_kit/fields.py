@@ -671,12 +671,13 @@ class Poly:
         if dq < 0:
             return Poly(f, ()), self
         quot = [f.zero] * (dq + 1)
-        inv_lc = f.inv(other.coeffs[-1])
+        lc = other.coeffs[-1]
+        inv_lc = None if lc == f.one else f.inv(lc)  # most divisors are monic
         for k in range(dq, -1, -1):
             top = rem[k + len(other.coeffs) - 1]
             if f.is_zero(top):
                 continue
-            q = f.mul(top, inv_lc)
+            q = top if inv_lc is None else f.mul(top, inv_lc)
             quot[k] = q
             for j, b in enumerate(other.coeffs):
                 rem[k + j] = f.sub(rem[k + j], f.mul(q, b))
@@ -874,6 +875,20 @@ def find_irreducible(field, degree):
     raise NotIrreducible(f"no irreducible of degree {degree} over {field}")
 
 
+def canonical_extension(base, n):
+    """base[t]/(find_irreducible(base, n)), and base itself for n = 1.
+
+    The field is a pure function of (base, n), so it is kept on the base
+    instance: every caller with this base gets the same object, and its
+    log/exp tables are built once and live as long as the base does."""
+    if n == 1:
+        return base
+    memo = base.__dict__.setdefault("_extensions", {})
+    if n not in memo:
+        memo[n] = ExtensionField(base, find_irreducible(base, n).coeffs, check=False)
+    return memo[n]
+
+
 # ---------------------------------------------------------------------------
 # factorization over finite fields
 
@@ -904,6 +919,23 @@ def _edf(f, d, rng):
     """Split monic squarefree f, all of whose factors have degree d."""
     if f.degree == d:
         return [f]
+    g = _edf_split(f, d, rng)
+    return _edf(g, d, rng) + _edf(f // g, d, rng)
+
+
+def split_root(f, rng):
+    """One root of a monic squarefree f that splits into linear factors:
+    degree-1 equal-degree splitting, always into the smaller part."""
+    while f.degree > 1:
+        g = _edf_split(f, 1, rng)
+        h = f // g
+        f = g if g.degree <= h.degree else h
+    return f.field.neg(f.coeffs[0])
+
+
+def _edf_split(f, d, rng):
+    """A proper monic factor of monic squarefree f of degree > d, all of
+    whose irreducible factors have degree d."""
     field = f.field
     q = field.size()
     p = field.characteristic()
@@ -913,23 +945,17 @@ def _edf(f, d, rng):
         if a.is_constant():
             continue
         if p == 2:
-            # trace map over F_2 sublattice
-            e = 1
-            qq = q
-            while qq > 2:
-                qq //= 2
-                e += 1
-            b = a % f
-            acc = b
-            for _ in range(d * e - 1):
-                b = b.pow_mod(2, f)
-                acc = (acc + b) % f
+            # trace map over F_2 sublattice, q = 2^e
+            b = acc = a % f
+            for _ in range(d * (q.bit_length() - 1) - 1):
+                b = b * b % f
+                acc = acc + b
             g = acc.gcd(f)
         else:
             b = a.pow_mod((q ** d - 1) // 2, f)
             g = (b - Poly(field, (field.one,))).gcd(f)
         if 0 < g.degree < f.degree:
-            return _edf(g, d, rng) + _edf(f // g, d, rng)
+            return g
 
 
 def factor_over_prime_field(f):

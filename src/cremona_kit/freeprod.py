@@ -97,16 +97,6 @@ def fp_normalize(raw):
     return FreeProductElement(tuple(stack))
 
 
-def _word_chains(w):
-    prev = w.source
-    for i, letter in enumerate(w.letters):
-        if letter.src.key() != prev.key():
-            raise ChainBreak(f"letters do not chain at position {i}")
-        prev = letter.tgt
-    if prev.key() != w.target.key():
-        raise ChainBreak("word does not reach its declared target")
-
-
 def _class_key(model, memo):
     if model.kind == HIRZEBRUCH:
         return HIRZEBRUCH_CLASS
@@ -122,16 +112,22 @@ def _class_key(model, memo):
 
 def _deep_letters(w, delta, field=None):
     """(class key, depth) of each type II conic-bundle letter of depth >=
-    delta, computing each model's class key once per call."""
-    _word_chains(w)
-    memo = {}
-    out = []
-    for letter in w.letters:
-        if not isinstance(letter, LinkLetter):
-            continue
-        link = letter.link
-        if not (link.is_cb_type2() and link.depth >= delta):
-            continue
+    delta, computing each model's class key once per call.  The walk that
+    collects those letters checks the chain; class keys and the field check
+    run only after the whole chain has passed, so a ChainBreak wins over
+    their errors."""
+    prev, deep = w.source, []
+    for i, letter in enumerate(w.letters):
+        src = letter.src  # neighbours mostly share one model object
+        if src is not prev and src.key() != prev.key():
+            raise ChainBreak(f"letters do not chain at position {i}")
+        prev = letter.tgt
+        if isinstance(letter, LinkLetter) and letter.link.depth >= delta and letter.link.is_cb_type2():
+            deep.append(letter.link)
+    if prev is not w.target and prev.key() != w.target.key():
+        raise ChainBreak("word does not reach its declared target")
+    memo, out = {}, []
+    for link in deep:
         if field is not None and link.orbit_src is not None:
             if link.orbit_src.field != field:
                 raise UnresolvedClass("letter lives over a different field")

@@ -22,6 +22,7 @@ composes the matrices that send two sets to their common form.
 
 from dataclasses import dataclass, field as dc_field
 import itertools
+import random
 
 from . import linalg
 from .linalg import cross, dot
@@ -44,13 +45,14 @@ from .fields import (
     QQ,
     Rationals,
     UNVERIFIED,
-    factor_over_prime_field,
+    canonical_extension,
     field_from_json,
     field_to_json,
     find_irreducible,
     irreducible_check,
     poly_from_json,
     poly_to_json,
+    split_root,
 )
 
 CONIC = "conic"
@@ -131,7 +133,7 @@ def orbit_from_json(obj):
         min_poly = poly_from_json(obj["min_poly"])
         second = poly_from_json(obj["min_poly2"]) if "min_poly2" in obj else None
         if template == EXPLICIT:
-            size, K = obj["size"], _coordinate_field(base, min_poly)
+            size, K = obj["size"], coordinate_field(base, min_poly)
             pts = [tuple(K.elem_from_str(s) for s in pt) for pt in obj["points"]]
     except MALFORMED_JSON as exc:
         raise BadInput(f"malformed orbit JSON: {exc!r}")
@@ -152,7 +154,7 @@ def orbit_from_json(obj):
     )
 
 
-def _coordinate_field(base, min_poly):
+def coordinate_field(base, min_poly):
     if min_poly.degree <= 1:
         return base
     return ExtensionField(base, min_poly.coeffs, check=False)
@@ -189,27 +191,38 @@ def _frobenius_orbit(K, pt, q):
     return orbit
 
 
-def _roots_via_frobenius(K, f, q):
-    """Roots of f in K = base[t]/(f): the Frobenius orbit of the generator."""
-    r = K.gen()
-    roots = [r]
-    for _ in range(f.degree - 1):
-        r = K.pow(r, q)
-        roots.append(r)
-    return roots
+def frobenius_conjugates(K, r, q):
+    """[r, r^q, r^(q^2), ...] up to the first return to r."""
+    out = [r]
+    while (nxt := K.pow(out[-1], q)) != r:
+        out.append(nxt)
+    return out
 
 
 def roots_in_field(f, K):
-    """All roots of f inside the finite field K, sorted canonically."""
+    """All roots of f inside the finite field K, sorted canonically.
+
+    Degree-1 splitting in K finds one root of gcd(f, x^|K| - x); its
+    Frobenius conjugates over f.field are stripped before the next split,
+    so an irreducible f costs one split (none when K = f.field[t]/(f): t is
+    a root).  K's log/exp tables live on K, so a K from canonical_extension
+    builds them once for the lifetime of its base field."""
+    F = f.field
     if f.degree == 1:
         c0, c1 = f.coeffs
-        root = K.neg(K.div(_lift(K, f.field, c0), _lift(K, f.field, c1)))
+        root = K.neg(K.div(_lift(K, F, c0), _lift(K, F, c1)))
         return [root]
-    lifted = Poly(K, [_lift(K, f.field, c) for c in f.coeffs])
+    f = f.monic()
+    if isinstance(K, ExtensionField) and K.base == F and K.modulus == f.coeffs:
+        return sorted(frobenius_conjugates(K, K.gen(), F.size()), key=K.to_int)
+    x = Poly(F, (F.zero, F.one))
+    rest = Poly(K, [_lift(K, F, c) for c in (x.pow_mod(K.size(), f) - x).gcd(f).coeffs])
+    rng = random.Random(repr(("roots", K.size(), tuple(map(K.to_int, rest.coeffs)))))
     roots = []
-    for factor, _ in factor_over_prime_field(lifted):
-        if factor.degree == 1:
-            roots.append(K.neg(factor.coeffs[0]))
+    while rest.degree > 0:
+        for r in frobenius_conjugates(K, split_root(rest, rng), F.size()):
+            roots.append(r)
+            rest //= Poly(K, (K.neg(r), K.one))
     return sorted(roots, key=K.to_int)
 
 
@@ -224,7 +237,7 @@ def _lift(K, base, c):
     raise IncompatibleFields(f"cannot embed {base} into {K}")
 
 
-def materialize_points(orbit, K=None, q=None):
+def materialize_points(orbit, K=None):
     """Coordinate triples of the orbit in a finite extension.
 
     With K=None, uses the orbit's natural coordinate field.  Points are
@@ -233,10 +246,9 @@ def materialize_points(orbit, K=None, q=None):
     base = orbit.field
     if not base.is_finite():
         raise UncomputableOverQ("explicit coordinates need a finite field")
-    q = q or base.size()
     if orbit.template == EXPLICIT:
         if K is None or K == orbit.coord_field:
-            return orbit.coord_field, orbit.points
+            return K or orbit.coord_field, orbit.points
         # re-embed via root identification of the coordinate modulus; the
         # point set is Galois-stable, so the choice of root is immaterial
         src = orbit.coord_field
@@ -252,14 +264,8 @@ def materialize_points(orbit, K=None, q=None):
         return K, _sorted_points(K, pts)
     if orbit.template in (CONIC, LINE):
         f = orbit.min_poly
-        if K is None:
-            K = _coordinate_field(base, f)
-            if f.degree >= 2:
-                roots = _roots_via_frobenius(K, f, q)
-            else:
-                roots = roots_in_field(f, K)
-        else:
-            roots = roots_in_field(f, K)
+        K = K or coordinate_field(base, f)
+        roots = roots_in_field(f, K)
         one, zero = K.one, K.zero
         if orbit.template == CONIC:
             pts = [(one, r, K.mul(r, r)) for r in roots]
@@ -268,11 +274,7 @@ def materialize_points(orbit, K=None, q=None):
         return K, _sorted_points(K, pts)
     if orbit.template == SPLIT:
         f, g = orbit.min_poly, orbit.min_poly2
-        if K is None:
-            if f == g:
-                K = _coordinate_field(base, f)
-            else:
-                K = ExtensionField(base, find_irreducible(base, 2).coeffs, check=False)
+        K = K or canonical_extension(base, 2)
         ra = roots_in_field(f, K)
         rb = roots_in_field(g, K)
         one, zero = K.one, K.zero
@@ -392,6 +394,8 @@ def general_position_check(orbits):
 
 
 def common_coordinate_field(base, orbits):
+    """canonical_extension(base, n), n the lcm of the orbits' degrees: one
+    field per (base, n), kept with its log/exp tables on the base field."""
     from math import lcm
 
     degs = []
@@ -405,11 +409,7 @@ def common_coordinate_field(base, orbits):
     n = lcm(*degs)
     if n > EXT_DEGREE_CAP:
         raise ScaleExceeded(f"compositum degree {n} exceeds {EXT_DEGREE_CAP}")
-    if n == 1:
-        return base
-    K = ExtensionField(base, find_irreducible(base, n).coeffs, check=False)
-    # an orbit already in K brings the log/exp tables its field has built
-    return next((o.coord_field for o in orbits if o.coord_field == K), K)
+    return canonical_extension(base, n)
 
 
 def _points_in(K, orbits):
@@ -445,7 +445,7 @@ def enumerate_point_orbits(field, n):
         raise BadInput(f"orbit size must be positive, got {n}")
     if n > EXT_DEGREE_CAP or closed_point_count(q, n) > CENSUS_CAP:
         raise ScaleExceeded(f"more than {CENSUS_CAP} closed points of degree {n} over F_{q}")
-    K = field if n == 1 else ExtensionField(field, find_irreducible(field, n).coeffs, check=False)
+    K = canonical_extension(field, n)
 
     elems = sorted(K.elements(), key=K.to_int)
     points = itertools.chain(

@@ -10,10 +10,13 @@ from fractions import Fraction
 import pytest
 
 from cremona_kit.fields import (
+    ExtensionField,
+    Poly,
     PrimeField,
     QQ,
     factor_over_prime_field,
     find_irreducible,
+    is_irreducible,
     poly_from_string,
 )
 from cremona_kit.orbits import (
@@ -249,6 +252,22 @@ def test_f5_conic_quartic_key():
     with budget("F5 key", "cb_class_key of one F5 conic-form quartic", 1.0):
         key = cb_class_key(model)
     assert key.family == "dp5" and key.class_id.startswith("pgl3[q=5]:frame:")
+
+
+def test_conic_keys_share_canonical_field():
+    # each key finds its roots in the one canonical F_{9^4} kept on the base
+    # field, whose log/exp tables are built once (about 0.55 s when every key
+    # built a fresh field)
+    F3 = PrimeField(3)
+    F9 = ExtensionField(F3, find_irreducible(F3, 2).coeffs)
+    rng, models = random.Random(9), []
+    while len(models) < 10:
+        f = Poly(F9, [F9.from_packed_int(rng.randrange(9)) for _ in range(4)] + [F9.one])
+        if is_irreducible(f):
+            models.append(conic_bundle5(orbit_from_poly(F9, f, CONIC)))
+    with budget("F9 keys", "ten cb_class_key calls on F9 conic-form quartics", 0.3):
+        keys = [cb_class_key(X) for X in models]
+    assert all(k.class_id.startswith("pgl3[q=9]:frame:") for k in keys)
 
 
 def test_criterion_8_example_c5_link():

@@ -3,7 +3,20 @@ import itertools
 import pytest
 
 from cremona_kit import errors
-from cremona_kit.fields import PrimeField, QQ, find_irreducible, poly_from_string
+import random
+
+from cremona_kit.fields import (
+    ExtensionField,
+    Poly,
+    PrimeField,
+    QQ,
+    canonical_extension,
+    factor_over_prime_field,
+    find_irreducible,
+    is_irreducible,
+    poly_from_string,
+    prime_power,
+)
 from cremona_kit.orbits import (
     CONIC,
     SPLIT,
@@ -14,6 +27,7 @@ from cremona_kit.orbits import (
     lift_matrix,
     materialize_points,
     orbit_from_poly,
+    pgl3_form,
     point_sort_key,
 )
 from cremona_kit.catalog import (
@@ -97,6 +111,24 @@ def split_cb5(field):
     Frobenius acts as two 2-cycles."""
     quad = find_irreducible(field, 2)
     return conic_bundle5(orbit_from_poly(field, quad, SPLIT, second_poly=quad))
+
+
+def finite_field(q):
+    p, k = prime_power(q)
+    return canonical_extension(PrimeField(p), k)
+
+
+def seeded_irreducible(F, degree, rng):
+    while True:
+        f = Poly(F, [F.from_packed_int(rng.randrange(F.size())) for _ in range(degree)] + [F.one])
+        if is_irreducible(f):
+            return f
+
+
+def linear_roots(f, K):
+    """Roots of f in K from the linear factors of a full factorization."""
+    lifted = Poly(K, [K.embed(c) for c in f.coeffs])
+    return [K.neg(g.coeffs[0]) for g, _ in factor_over_prime_field(lifted) if g.degree == 1]
 
 
 class TestInvariants:
@@ -322,6 +354,51 @@ class TestClassKeys:
         assert k5.class_id.startswith(f"pgl3[q={q}]:frame:")
         assert cb_class_key(key_model(F, "cb5x")) == k5
         assert cb_class_key(split_cb5(F)) != k5
+
+    @pytest.mark.parametrize("q", [7, 8, 9, 101])
+    def test_template_and_explicit_keys_agree(self, q):
+        # the points of a conic or split template, found by roots_in_field,
+        # against the same points from full factorization over K, given
+        # explicitly
+        F, rng = finite_field(q), random.Random(q)
+        f = seeded_irreducible(F, 4, rng)
+        K = canonical_extension(F, 4)
+        pts = [(K.one, a, K.mul(a, a)) for a in linear_roots(f, K)]
+        template = orbit_from_poly(F, f, CONIC)
+        explicit = explicit_orbit(F, K, pts)
+        assert materialize_points(template, K=K)[1] == explicit.points
+        assert cb_class_key(conic_bundle5(template)) == cb_class_key(conic_bundle5(explicit))
+
+        while True:
+            g, h = seeded_irreducible(F, 2, rng), seeded_irreducible(F, 2, rng)
+            split = orbit_from_poly(F, g, SPLIT, second_poly=h)
+            if split.general_position == "yes":
+                break
+        K = canonical_extension(F, 2)
+        pair = [explicit_orbit(F, K, [(K.one, a, K.zero) for a in linear_roots(g, K)]),
+                explicit_orbit(F, K, [(K.one, K.zero, b) for b in linear_roots(h, K)])]
+        assert materialize_points(split, K=K)[1] == tuple(sorted(
+            (p for o in pair for p in o.points), key=lambda p: point_sort_key(K, p)))
+        assert cb_class_key(conic_bundle6(split)).class_id == f"pgl3[q={q}]:{pgl3_form(F, pair)}"
+
+    def test_conic_keys_build_one_table(self, monkeypatch):
+        # ten F9 conic-quartic keys on one base field share one canonical
+        # F_{9^4}, so its log/exp tables are built once
+        F, rng = finite_field(9), random.Random(9)
+        models = [conic_bundle5(orbit_from_poly(F, seeded_irreducible(F, 4, rng), CONIC))
+                  for _ in range(10)]
+        built, ensure = [], ExtensionField._ensure_tables
+
+        def counting(K):
+            fresh, ok = K._exp is None, ensure(K)
+            if ok and fresh:
+                built.append(K.size())
+            return ok
+
+        monkeypatch.setattr(ExtensionField, "_ensure_tables", counting)
+        for X in models:
+            cb_class_key(X)
+        assert built.count(9 ** 4) == 1
 
     def test_non_rational_refused(self):
         with pytest.raises(errors.NonRational):

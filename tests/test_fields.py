@@ -13,6 +13,7 @@ from cremona_kit.fields import (
     QQ,
     REDUCIBLE,
     UNVERIFIED,
+    canonical_extension,
     factor_over_prime_field,
     field_from_json,
     field_to_json,
@@ -284,6 +285,15 @@ class TestExtensionField:
         assert T.mul(x, T.inv(x)) == T.one
         # s lies in the copy of F_{2^17}: s^(2^17) = s
         assert T.pow(s, 2 ** 17) == s
+
+    def test_canonical_extension_is_kept_on_the_base(self):
+        F9 = ExtensionField(F3, find_irreducible(F3, 2).coeffs)
+        K = canonical_extension(F9, 4)
+        assert canonical_extension(F9, 4) is K and canonical_extension(F9, 1) is F9
+        assert K.modulus == find_irreducible(F9, 4).coeffs and K.base is F9
+        # an equal base built apart keeps its own, equal, field
+        other = canonical_extension(ExtensionField(F3, find_irreducible(F3, 2).coeffs), 4)
+        assert other == K and other is not K
 
     def test_minimal_polynomial(self):
         F16 = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)

@@ -294,3 +294,16 @@ class TestFreeFactors:
             IDENTITY,
         ):
             assert FreeProductElement.from_json(elem.to_json()) == elem
+
+
+def test_chain_break_wins_over_class_errors():
+    # the first letter's class cannot be named over F3, and the second
+    # letter does not chain onto it: the word is refused for its chain
+    other = conic_bundle5(orbit_from_poly(F2, poly_from_string(F2, "t^4+t^3+1"), CONIC))
+    first, second = cb5_letter(17), cb5_letter(17, other)
+    F3 = PrimeField(3)
+    broken = GroupoidWord((first, second), first.src, other)
+    with pytest.raises(errors.ChainBreak, match="position 1"):
+        homo_refined_eval(broken, field=F3)
+    with pytest.raises(errors.UnresolvedClass):
+        homo_refined_eval(GroupoidWord((first,), first.src, first.src), field=F3)

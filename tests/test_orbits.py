@@ -9,8 +9,12 @@ from cremona_kit.fields import (
     Poly,
     PrimeField,
     QQ,
+    canonical_extension,
+    factor_over_prime_field,
     find_irreducible,
+    is_irreducible,
     poly_from_string,
+    prime_power,
 )
 from cremona_kit.orbits import (
     ALL,
@@ -41,6 +45,7 @@ from cremona_kit.orbits import (
     pgl3_classify,
     pgl3_form,
     point_sort_key,
+    roots_in_field,
     transitive_sym4_audit,
 )
 
@@ -61,9 +66,9 @@ import functools
 
 
 def field_of_size(q):
-    if q == 4:
-        return ExtensionField(F2, find_irreducible(F2, 2).coeffs)
-    return PrimeField(q)
+    p, k = prime_power(q)
+    F = PrimeField(p)
+    return F if k == 1 else ExtensionField(F, find_irreducible(F, k).coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -500,6 +505,69 @@ class TestFrameNormalization:
         classes = pgl3_classify(orbits, F7)
         assert partition(classes) == walk_partition(F7, orbits)
         assert len(classes) == 1 and o in classes[0].members
+
+
+def seeded_poly(F, degree, rng, monic=True):
+    coeffs = [F.from_packed_int(rng.randrange(F.size())) for _ in range(degree + 1)]
+    if monic:
+        coeffs[-1] = F.one
+    while not coeffs[-1]:
+        coeffs[-1] = F.from_packed_int(rng.randrange(F.size()))
+    return Poly(F, coeffs)
+
+
+def seeded_irreducible(F, degree, rng):
+    while True:
+        f = seeded_poly(F, degree, rng)
+        if is_irreducible(f):
+            return f
+
+
+class TestRootsInField:
+    """roots_in_field against the linear factors that full factorization
+    over K finds, on seeded polynomials."""
+
+    # (q, largest [K:F_q] tried); F101^4 and beyond have no log/exp tables
+    FIELDS = [(2, 6), (3, 5), (4, 4), (7, 4), (8, 3), (9, 3), (101, 3)]
+
+    @staticmethod
+    def oracle(f, K):
+        lifted = Poly(K, [c if K == f.field else K.embed(c) for c in f.coeffs])
+        roots = [K.neg(g.coeffs[0]) for g, _ in factor_over_prime_field(lifted) if g.degree == 1]
+        return sorted(roots, key=K.to_int)
+
+    def cases(self, F, rng):
+        yield from (seeded_poly(F, d, rng, monic=False) for d in (1, 2, 3, 4, 5, 6))
+        yield from (seeded_irreducible(F, d, rng) for d in (2, 3, 4))
+        a, b = seeded_irreducible(F, 2, rng), seeded_poly(F, 1, rng)
+        yield a * a * b * b * b  # repeated factors
+        yield a * seeded_irreducible(F, 3, rng) * b
+
+    @pytest.mark.parametrize("q,top", FIELDS)
+    def test_matches_factorization(self, q, top):
+        F, rng = field_of_size(q), random.Random(q)
+        found = 0
+        for n in range(1, top + 1):
+            K = canonical_extension(F, n)
+            for f in self.cases(F, rng):
+                roots = roots_in_field(f, K)
+                assert roots == self.oracle(f, K), (f, K)
+                found += len(roots)
+        assert found  # some cases have roots in some K
+
+    @pytest.mark.parametrize("q", [2, 7, 9])
+    def test_degree_not_dividing_is_empty(self, q):
+        F, rng = field_of_size(q), random.Random(q)
+        for d, n in [(3, 2), (2, 3), (4, 2), (5, 4)]:
+            f = seeded_irreducible(F, d, rng)
+            assert roots_in_field(f, canonical_extension(F, n)) == []
+
+    def test_own_field_starts_at_the_generator(self):
+        F7 = PrimeField(7)
+        f = seeded_irreducible(F7, 4, random.Random(3))
+        K = ExtensionField(F7, f.coeffs, check=False)
+        roots = roots_in_field(f, K)
+        assert K.gen() in roots and roots == self.oracle(f, K)
 
 
 class TestReembedding:
