@@ -883,7 +883,9 @@ def canonical_extension(base, n):
     log/exp tables are built once and live as long as the base does."""
     if n == 1:
         return base
-    memo = base.__dict__.setdefault("_extensions", {})
+    memo = getattr(base, "_extensions", None)
+    if memo is None:  # set, not base.__dict__: that would slow base's own attribute loads
+        memo = base._extensions = {}
     if n not in memo:
         memo[n] = ExtensionField(base, find_irreducible(base, n).coeffs, check=False)
     return memo[n]

@@ -527,7 +527,7 @@ class TestRootsInField:
     """roots_in_field against the linear factors that full factorization
     over K finds, on seeded polynomials."""
 
-    # (q, largest [K:F_q] tried); F101^4 and beyond have no log/exp tables
+    # (q, largest [K:F_q] tried): the factoring oracle over K sets the caps
     FIELDS = [(2, 6), (3, 5), (4, 4), (7, 4), (8, 3), (9, 3), (101, 3)]
 
     @staticmethod
