@@ -15,16 +15,18 @@ Three constructions are provided:
 
 For the big links over a finite field everything is verified in
 coordinates: the pencil of conics through the defining points is solved
-over the base field, the 2n+1 members through the q_i are computed in
-F_q[s]/(r), checked pairwise distinct, and no q_i is allowed to be
-collinear with two defining points (equivalently, no base point sits on a
-singular fiber).  Over Q the member conics are not computed: distinctness
-is certified by the parity argument (an odd orbit cannot pair up on the
-line x = 0) and the collinearity test is done through resolvents, or by a
-degree comparison when deg r exceeds the resolvent degree.
+over the base field, the member through one q_i is computed in F_q[s]/(r),
+the members through the others are its Frobenius conjugates and must be
+2n+1 distinct ones, and no q_i is allowed to be collinear with two defining
+points (equivalently, no base point sits on a singular fiber).  Over Q the
+member conics are not computed: distinctness is certified by the parity
+argument (an odd orbit cannot pair up on the line x = 0) and the
+collinearity test is done through resolvents, or by a degree comparison
+when deg r exceeds the resolvent degree.
 """
 
 from dataclasses import dataclass
+import itertools
 
 from . import linalg
 from .errors import (
@@ -44,6 +46,7 @@ from .fields import (
     canonical_extension,
     find_irreducible,
     irreducible_check,
+    lift_poly,
     minimal_polynomial,
     poly_to_json,
     sylvester_resultant,
@@ -67,7 +70,6 @@ from .orbits import (
     SPLIT,
     coordinate_field,
     explicit_orbit,
-    frobenius_conjugates,
     orbit_from_poly,
     roots_in_field,
 )
@@ -172,8 +174,8 @@ def _audit_dejonquieres(p):
         K = coordinate_field(field, p)
         roots = roots_in_field(p, K)
         assert len(roots) == d
-        for r in roots:
-            assert K.is_zero(Poly(K, [_embed(K, field, c) for c in p.coeffs])(r))
+        pK = lift_poly(K, p)
+        assert all(K.is_zero(pK(r)) for r in roots)
         # local form at [1:0; 1:0]: alpha*u^d + beta*x*p*(u) with p* the
         # reversed polynomial.  Substituting x = u^j x_j gives
         # alpha*u^(d-j) + beta*x_j*p*(u): for j < d the origin is a base
@@ -195,10 +197,6 @@ def _audit_dejonquieres(p):
         coordinate_verified=verified,
         notes=tuple(notes),
     )
-
-
-def _embed(K, base, c):
-    return c if K == base else K.embed(c)
 
 
 def word_base_point_total(w):
@@ -332,15 +330,13 @@ def _pencil_basis(field, rows):
     return ns
 
 
-def _lift_poly(K, base, p):
-    return Poly(K, [_embed(K, base, c) for c in p.coeffs])
-
-
 def _parameters_and_center(field, Q1, Q2, r_poly):
     """Pencil parameters of the members through [0:1:r_i], all r_i roots.
 
-    Returns (center, number of conics); verifies pairwise distinctness and
-    that the parameter orbit has full degree.
+    Returns (center, number of conics).  A and B have coefficients in the
+    base field, so the parameter at r_i is the i-th Frobenius image of the
+    parameter u at one root: the members are pairwise distinct exactly when
+    u has D conjugates, and the center is then the minimal polynomial of u.
     """
     A = Poly(field, (Q1[3], Q1[4], Q1[5]))
     B = Poly(field, (Q2[3], Q2[4], Q2[5]))
@@ -355,67 +351,39 @@ def _parameters_and_center(field, Q1, Q2, r_poly):
         u = field.neg(field.div(b, a))
         return center_from_poly(Poly(field, (field.neg(u), field.one))), 1
     T = ExtensionField(field, r_poly.coeffs, check=False)
-    roots = frobenius_conjugates(T, T.gen(), field.size())
-    AT, BT = _lift_poly(T, field, A), _lift_poly(T, field, B)
-    params = []
-    for r in roots:
-        a, b = AT(r), BT(r)
-        if T.is_zero(a) and T.is_zero(b):
-            raise ConicCoincidence("the whole pencil passes through a q_i")
-        if T.is_zero(a):
-            # the parameter would be a rational point with an orbit of size D
-            raise ConicCoincidence("conic parameters degenerate to infinity")
-        params.append((a, b))
-    for i in range(D):
-        for j in range(i + 1, D):
-            cross = T.sub(
-                T.mul(params[i][0], params[j][1]), T.mul(params[j][0], params[i][1])
-            )
-            if T.is_zero(cross):
-                raise ConicCoincidence(
-                    f"conics through q_{i+1} and q_{j+1} coincide"
-                )
-    u = T.neg(T.div(params[0][1], params[0][0]))
-    center_poly = minimal_polynomial(T, u)
-    if center_poly.degree != D:
-        raise ConicCoincidence("parameter orbit is smaller than the q-orbit")
+    a, b = lift_poly(T, A)(T.gen()), lift_poly(T, B)(T.gen())
+    if T.is_zero(a) and T.is_zero(b):
+        raise ConicCoincidence("the whole pencil passes through a q_i")
+    if T.is_zero(a):
+        # the parameter would be a rational point with an orbit of size D
+        raise ConicCoincidence("conic parameters degenerate to infinity")
+    center_poly = minimal_polynomial(T, T.neg(T.div(b, a)))
+    if center_poly.degree < D:
+        # u_i = u_j exactly when i = j mod the number of conjugates of u
+        raise ConicCoincidence(f"conics through q_1 and q_{center_poly.degree + 1} coincide")
     return center_from_poly(center_poly), D
 
 
-def _minpoly_matches(field, K, elem, r_poly):
-    if K == field:
-        return Poly(field, (field.neg(elem), field.one)) == r_poly
-    return minimal_polynomial(K, elem) == r_poly
-
-
 def _collinear_c5_finite(field, f, r_poly):
-    """q_i on the line through [1:a_k:a_k^2], [1:a_l:a_l^2] iff r_i = a_k+a_l."""
+    """q_i on the line through [1:a_k:a_k^2], [1:a_l:a_l^2] iff r_i = a_k+a_l.
+    r is certified irreducible, so a_k + a_l is some r_i iff r(a_k + a_l) = 0."""
     K = coordinate_field(field, f)
     roots = roots_in_field(f, K)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            s = K.add(roots[i], roots[j])
-            if _minpoly_matches(field, K, s, r_poly):
-                raise CollinearTriple(
-                    "a q_i is collinear with two of the defining points"
-                )
+    rK = lift_poly(K, r_poly)
+    if any(K.is_zero(rK(K.add(a, b))) for a, b in itertools.combinations(roots, 2)):
+        raise CollinearTriple("a q_i is collinear with two of the defining points")
     return True
 
 
 def _collinear_c6_finite(field, f, g, r_poly):
-    """Lines z=0 (r=0), y=0 (never), and mixed pairs (r = -b/a)."""
+    """Lines z=0 (r=0), y=0 (never), and mixed pairs (r(-b/a) = 0)."""
     if field.is_zero(r_poly(field.zero)):
         raise CollinearTriple("q at [0:1:0] lies on the line z=0")
     K = canonical_extension(field, 2)
-    ra = roots_in_field(f, K)
-    rb = roots_in_field(g, K)
-    for a in ra:
-        for b in rb:
-            v = K.neg(K.div(b, a))
-            if _minpoly_matches(field, K, v, r_poly):
-                raise CollinearTriple(
-                    "a q_i is collinear with two of the defining points"
-                )
+    rK = lift_poly(K, r_poly)
+    pairs = itertools.product(roots_in_field(f, K), roots_in_field(g, K))
+    if any(K.is_zero(rK(K.neg(K.div(b, a)))) for a, b in pairs):
+        raise CollinearTriple("a q_i is collinear with two of the defining points")
     return True
 
 
@@ -451,9 +419,10 @@ def _collinear_c5_q(f, r_poly):
     field = f.field
     d = f.degree
     # h(x) = Res_y(f(y), f(x - y)) = prod(x - a_i - a_j) over all i, j
-    pts = [field.from_int(k) for k in range(2 * d * d + 1)]
+    # h has degree d^2, so d^2 + 1 values fix it
+    pts = [field.from_int(k) for k in range(d * d + 1)]
     vals = [sylvester_resultant(f, _compose_at(f, x0, field.neg(field.one))) for x0 in pts]
-    h = _poly_interpolate(field, pts[: d * d + 1], vals[: d * d + 1])
+    h = _poly_interpolate(field, pts, vals)
     # strip the diagonal prod(x - 2 a_i) = 2^d f(x/2)
     half = field.inv(field.from_int(2))
     diag = Poly(field, [c * field.pow(half, i) for i, c in enumerate(f.coeffs)])

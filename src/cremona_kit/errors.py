@@ -27,7 +27,6 @@ ZeroPolynomial = _make("ZeroPolynomial")
 ConstantPolynomial = _make("ConstantPolynomial")
 UnsupportedField = _make("UnsupportedField")
 NotIrreducible = _make("NotIrreducible")
-BaseMismatch = _make("BaseMismatch")
 
 # galois_orbits
 DegreeMismatch = _make("DegreeMismatch")

@@ -1,5 +1,7 @@
 """Exact arithmetic over Q and F_{p^k}, univariate polynomials, factorization
-over finite fields, and irreducibility certificates.
+over finite fields, irreducibility certificates, and the extension-field
+helpers: Frobenius conjugates, minimal polynomials, lifting into extensions
+and descending back.
 
 Field elements are plain immutable values; the field object carries the
 operations:
@@ -34,8 +36,8 @@ import random
 
 from .errors import (
     BadInput,
-    BaseMismatch,
     ConstantPolynomial,
+    IncompatibleFields,
     NotIrreducible,
     UnsupportedField,
     ZeroPolynomial,
@@ -90,9 +92,6 @@ class Field:
 
     def elements(self):
         raise UnsupportedField("cannot enumerate an infinite field")
-
-    def poly(self, coeffs):
-        return Poly(self, coeffs)
 
     # canonical integer encoding used for sort keys and JSON strings
     def to_int(self, a):
@@ -1008,27 +1007,6 @@ def factor_over_prime_field(f):
     return sorted(result.items(), key=lambda kv: kv[0].sort_key())
 
 
-def minimal_polynomial(K, u):
-    """Monic minimal polynomial over K.base of an element of an extension."""
-    base = K.base
-    deg = K.degree
-
-    def coords(x):
-        return list(x) + [base.zero] * (deg - len(x))
-
-    from . import linalg
-
-    powers = [K.one]
-    while True:
-        nxt = K.mul(powers[-1], u)
-        A = [[coords(p)[i] for p in powers] for i in range(deg)]
-        sol = linalg.solve(base, A, coords(nxt))
-        if sol is not None:
-            coeffs = [base.neg(c) for c in sol] + [base.one]
-            return Poly(base, coeffs)
-        powers.append(nxt)
-
-
 def sylvester_resultant(f, g):
     """Resultant of two nonzero polynomials over a field (exact determinant)."""
     field = f.field
@@ -1270,46 +1248,50 @@ def irreducible_check(f):
 
 
 # ---------------------------------------------------------------------------
-# Frobenius orbits
+# Frobenius conjugates, and moving elements between a field and its extensions
 
 
-class FrobeniusOrbit:
-    __slots__ = ("size", "conjugates", "modulus", "q")
-
-    def __init__(self, size, conjugates, modulus, q):
-        self.size = size
-        self.conjugates = conjugates  # residues mod `modulus`, as Poly
-        self.modulus = modulus
-        self.q = q
-
-    def __repr__(self):
-        return f"FrobeniusOrbit(size={self.size})"
+def frobenius_conjugates(K, r, q):
+    """[r, r^q, r^(q^2), ...] up to the first return to r."""
+    out = [r]
+    while (nxt := K.pow(out[-1], q)) != r:
+        out.append(nxt)
+    return out
 
 
-def frobenius_orbit(f, q):
-    """Orbit of a root of f under x -> x^q, inside F_p[t]/(f).
+def minimal_polynomial(K, u):
+    """Monic minimal polynomial over K.base of an element of a finite
+    extension: the product of x - c over the Frobenius conjugates c of u."""
+    base = K.base
+    if not base.is_finite():
+        raise UnsupportedField("minimal polynomials are taken over finite fields")
+    m = [K.one]  # the product so far, ascending
+    for c in frobenius_conjugates(K, u, base.size()):
+        m = [K.zero] + m  # times x, then minus c times the old product
+        for i in range(len(m) - 1):
+            m[i] = K.sub(m[i], K.mul(c, m[i + 1]))
+    return Poly(base, [descend(K, base, a) for a in m])
 
-    f must be irreducible over its prime field F_p; q a power of p.  The
-    orbit size equals the degree of the root over F_q.
-    """
-    field = f.field
-    if not isinstance(field, PrimeField):
-        raise UnsupportedField("frobenius_orbit expects a prime-field polynomial")
-    p = field.p
-    qq = q
-    while qq % p == 0:
-        qq //= p
-    if qq != 1 or q < p:
-        raise BaseMismatch(f"{q} is not a power of {p}")
-    if not is_irreducible(f):
-        raise NotIrreducible(f"{f} is reducible over F_{p}")
-    f = f.monic()
-    x = Poly(field, (field.zero, field.one))
-    conj = [x % f]
-    g = x % f
-    while True:
-        g = g.pow_mod(q, f)
-        if g == conj[0]:
-            break
-        conj.append(g)
-    return FrobeniusOrbit(len(conj), conj, f, q)
+
+def lift(K, base, c):
+    """Embed a base-field constant into K (K = base, or a tower over base)."""
+    if K == base:
+        return c
+    if isinstance(K, ExtensionField):
+        return K.embed(lift(K.base, base, c))
+    raise IncompatibleFields(f"cannot embed {base} into {K}")
+
+
+def lift_poly(K, p):
+    """p with its coefficients lifted into K."""
+    return Poly(K, [lift(K, p.field, c) for c in p.coeffs])
+
+
+def descend(K, base, x):
+    """The base-field value of an element of K (K = base, or a tower over
+    base) that lies in base."""
+    while K != base:
+        if not isinstance(K, ExtensionField) or len(x) > 1:
+            raise BadInput(f"element is not in {base}")
+        x, K = (x[0] if x else K.base.zero), K.base
+    return x

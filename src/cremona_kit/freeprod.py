@@ -18,9 +18,8 @@ map keeps them in a flagged auxiliary index rather than dropping them.
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ChainBreak, UnresolvedClass
+from .errors import ChainBreak, NonRational, UnresolvedClass
 from .catalog import HIRZEBRUCH, HIRZEBRUCH_CLASS, ConicBundleClassKey, cb_class_key
-from .errors import NonRational
 from .rewrite import LinkLetter
 
 
@@ -112,10 +111,10 @@ def _class_key(model, memo):
 
 def _deep_letters(w, delta, field=None):
     """(class key, depth) of each type II conic-bundle letter of depth >=
-    delta, computing each model's class key once per call.  The walk that
-    collects those letters checks the chain; class keys and the field check
-    run only after the whole chain has passed, so a ChainBreak wins over
-    their errors."""
+    delta, computing each model's class key once per call; all of them must
+    live over `field` (default: the first one's), as class keys do not name
+    it.  The walk that collects those letters checks the chain; class keys
+    and the field check run only after it, so a ChainBreak wins."""
     prev, deep = w.source, []
     for i, letter in enumerate(w.letters):
         src = letter.src  # neighbours mostly share one model object
@@ -128,8 +127,11 @@ def _deep_letters(w, delta, field=None):
         raise ChainBreak("word does not reach its declared target")
     memo, out = {}, []
     for link in deep:
-        if field is not None and link.orbit_src is not None:
-            if link.orbit_src.field != field:
+        orbit = link.orbit_src  # letters mostly share one field object: test identity first
+        if orbit is not None and orbit.field is not field:
+            if field is None:
+                field = orbit.field
+            elif orbit.field != field:
                 raise UnresolvedClass("letter lives over a different field")
         out.append((_class_key(link.source, memo), link.depth))
     return out

@@ -46,10 +46,14 @@ from .fields import (
     Rationals,
     UNVERIFIED,
     canonical_extension,
+    descend,
     field_from_json,
     field_to_json,
     find_irreducible,
+    frobenius_conjugates,
     irreducible_check,
+    lift,
+    lift_poly,
     poly_from_json,
     poly_to_json,
     split_root,
@@ -191,14 +195,6 @@ def _frobenius_orbit(K, pt, q):
     return orbit
 
 
-def frobenius_conjugates(K, r, q):
-    """[r, r^q, r^(q^2), ...] up to the first return to r."""
-    out = [r]
-    while (nxt := K.pow(out[-1], q)) != r:
-        out.append(nxt)
-    return out
-
-
 def roots_in_field(f, K):
     """All roots of f inside the finite field K, sorted canonically.
 
@@ -210,13 +206,12 @@ def roots_in_field(f, K):
     F = f.field
     if f.degree == 1:
         c0, c1 = f.coeffs
-        root = K.neg(K.div(_lift(K, F, c0), _lift(K, F, c1)))
-        return [root]
+        return [K.neg(K.div(lift(K, F, c0), lift(K, F, c1)))]
     f = f.monic()
     if isinstance(K, ExtensionField) and K.base == F and K.modulus == f.coeffs:
         return sorted(frobenius_conjugates(K, K.gen(), F.size()), key=K.to_int)
     x = Poly(F, (F.zero, F.one))
-    rest = Poly(K, [_lift(K, F, c) for c in (x.pow_mod(K.size(), f) - x).gcd(f).coeffs])
+    rest = lift_poly(K, (x.pow_mod(K.size(), f) - x).gcd(f))
     rng = random.Random(repr(("roots", K.size(), tuple(map(K.to_int, rest.coeffs)))))
     roots = []
     while rest.degree > 0:
@@ -224,17 +219,6 @@ def roots_in_field(f, K):
             roots.append(r)
             rest //= Poly(K, (K.neg(r), K.one))
     return sorted(roots, key=K.to_int)
-
-
-def _lift(K, base, c):
-    """Embed a base-field constant into K (K an extension of base, or base)."""
-    if K == base:
-        return c
-    if isinstance(K, ExtensionField) and K.base == base:
-        return K.embed(c)
-    if isinstance(K, ExtensionField):
-        return K.embed(_lift(K.base, base, c))
-    raise IncompatibleFields(f"cannot embed {base} into {K}")
 
 
 def materialize_points(orbit, K=None):
@@ -253,14 +237,10 @@ def materialize_points(orbit, K=None):
         # point set is Galois-stable, so the choice of root is immaterial
         src = orbit.coord_field
         if src == base:
-            pts = [tuple(_lift(K, base, c) for c in pt) for pt in orbit.points]
+            pts = [tuple(lift(K, base, c) for c in pt) for pt in orbit.points]
         else:
             root = roots_in_field(Poly(base, src.modulus), K)[0]
-
-            def convert(c):
-                return Poly(K, [_lift(K, base, ci) for ci in c])(root)
-
-            pts = [tuple(convert(c) for c in pt) for pt in orbit.points]
+            pts = [tuple(lift_poly(K, Poly(base, c))(root) for c in pt) for pt in orbit.points]
         return K, _sorted_points(K, pts)
     if orbit.template in (CONIC, LINE):
         f = orbit.min_poly
@@ -490,7 +470,7 @@ def apply_matrix(K, lifted_rows, pt):
 
 
 def lift_matrix(K, base, M):
-    return [[_lift(K, base, m) for m in row] for row in M]
+    return [[lift(K, base, m) for m in row] for row in M]
 
 
 def _set_key(K, pts):
@@ -724,7 +704,7 @@ def match_transform(P, Q):
     else:
         A_p, A_q = _frame(K, pts_p)[0], _frame(K, pts_q)[0]
     A = _normalize_matrix(K, linalg.mat_mul(K, linalg.inv3(K, A_q), A_p))
-    return [[_descend(K, base, x) for x in row] for row in A]
+    return [[descend(K, base, x) for x in row] for row in A]
 
 
 def _normalize_matrix(K, A):
@@ -732,15 +712,6 @@ def _normalize_matrix(K, A):
     first = next((x for x in flat if not K.is_zero(x)), None)
     inv = K.inv(first)
     return [[K.mul(inv, x) for x in row] for row in A]
-
-
-def _descend(K, base, x):
-    """The base-field value of an element of K = base or of K over base."""
-    if K == base:
-        return x
-    if len(x) > 1:
-        raise BadInput("element is not in the base field")
-    return x[0] if x else base.zero
 
 
 # ---------------------------------------------------------------------------

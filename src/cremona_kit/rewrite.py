@@ -32,6 +32,7 @@ from .errors import (
     MALFORMED_JSON,
     BadInput,
     ChainBreak,
+    IncompatibleFields,
     NotARelator,
     NotTypeIICB,
     SharedFiber,
@@ -520,7 +521,8 @@ def reduce_relation(w, observer=None, max_steps=None):
 
     Returns the residual (empty when the input is a consequence of the
     generated relations), the move log, and the fiber traces of the input.
-    A word the moves cannot erase comes back with stuck=True.
+    A word the moves cannot erase comes back with stuck=True; a word whose
+    link letters do not chain or mix fields is refused.
 
     The move order is canonical: the leftmost adjacent cancellation, else
     the innermost pair at the least fiber key.
@@ -530,6 +532,8 @@ def reduce_relation(w, observer=None, max_steps=None):
     verdict = word_validate(w)
     if not verdict and verdict.reason == "chain":
         raise ChainBreak(f"letters do not chain at position {verdict.position}")
+    if not verdict and verdict.reason == "field":
+        raise IncompatibleFields(f"link letters mix fields at position {verdict.position}")
     traces = fiber_traces(w)
     state = _Reduction(w, observer)
     budget = max_steps if max_steps is not None else 50 * len(w.letters) ** 2 + 100

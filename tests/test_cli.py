@@ -171,6 +171,14 @@ class TestRoundTrips:
         assert code == 0
         assert json.loads(out) == {"ok": False, "position": len(w2), "reason": "field"}
 
+    def test_word_reduce_refuses_mixed_fields(self, tmp_path, capsys):
+        w2, w3 = relator(PrimeField(2), 1), relator(PrimeField(3), 2)
+        wfile = tmp_path / "mixed.json"
+        wfile.write_text(json.dumps(word_to_json(w2.concat(w3))))
+        code, out, err = run(["word", "reduce", "--in", str(wfile)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["kind"] == "IncompatibleFields"
+
 
 class TestCensusOutput:
     def test_tsv(self, capsys):

@@ -173,6 +173,38 @@ class TestC5BigLink:
             c5_big_link(split, P2f("t^3+t+1"))
 
 
+class TestPencilCoincidences:
+    """The pencil step on crafted pencils, whose y^2, yz, z^2 coefficients
+    A (of Q1) and B (of Q2) no c5/c6 input produces: a pencil through four
+    points in general position meets the line x = 0 in a base-point-free
+    g^1_2, so an odd orbit there never shares conics.  Messages are pinned."""
+
+    @pytest.mark.parametrize(
+        "A, B, r, message",
+        [
+            ((0, 0, 0), (0, 0, 0), "x", "the whole pencil passes through q_1"),
+            ((0, 0, 0), (0, 0, 0), "x^2+x+1", "the whole pencil passes through a q_i"),
+            ((0, 0, 0), (0, 0, 1), "x^2+x+1", "conic parameters degenerate to infinity"),
+            ((0, 0, 1), (0, 0, 0), "x^2+x+1", "conics through q_1 and q_2 coincide"),
+            ((0, 0, 1), (1, 1, 0), "x^4+x^3+1", "conics through q_1 and q_3 coincide"),
+            ((0, 0, 1), (1, 1, 0), "x^6+x^4+x^3+x+1", "conics through q_1 and q_4 coincide"),
+        ],
+    )
+    def test_message(self, A, B, r, message):
+        from cremona_kit.constructions import _parameters_and_center
+
+        with pytest.raises(errors.ConicCoincidence) as exc:
+            _parameters_and_center(F2, (0, 0, 0) + A, (0, 0, 0) + B, P2f(r))
+        assert exc.value.detail == message
+
+    def test_distinct_members_give_the_parameter_orbit(self):
+        from cremona_kit.constructions import _parameters_and_center
+
+        # u = -B(t)/A(t) = t^2 + t generates F_8 over F_2 when r = t^3+t+1
+        center, count = _parameters_and_center(F2, (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 1), P2f("t^3+t+1"))
+        assert count == 3 and center.poly.degree == 3
+
+
 class TestC6BigLink:
     def test_f2_depth_17(self):
         split = mirror_split_orbit(F2, P2f("x^2+x+1"))

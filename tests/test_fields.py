@@ -14,13 +14,16 @@ from cremona_kit.fields import (
     REDUCIBLE,
     UNVERIFIED,
     canonical_extension,
+    descend,
     factor_over_prime_field,
     field_from_json,
     field_to_json,
     find_irreducible,
-    frobenius_orbit,
+    frobenius_conjugates,
     irreducible_check,
     is_irreducible,
+    lift,
+    lift_poly,
     minimal_polynomial,
     monic_polys,
     poly_from_json,
@@ -28,6 +31,7 @@ from cremona_kit.fields import (
     poly_to_json,
     sylvester_resultant,
 )
+from minpoly_solve import minimal_polynomial_by_solve
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -224,42 +228,110 @@ class TestIrreducibleCheck:
             irreducible_check(Poly(QQ, (Fraction(3),)))
 
 
-class TestFrobeniusOrbit:
+class TestFrobeniusConjugates:
     def test_quartic_q2(self):
-        f = P(F2, "t^4+t+1")
-        orbit = frobenius_orbit(f, 2)
-        assert orbit.size == 4
-        want = {P(F2, "t"), P(F2, "t^2"), P(F2, "t+1"), P(F2, "t^2+1")}
-        assert set(orbit.conjugates) == want
+        K = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
+        conj = frobenius_conjugates(K, K.gen(), 2)
+        assert len(conj) == 4
+        want = {(0, 1), (0, 0, 1), (1, 1), (1, 0, 1)}  # t, t^2, t+1, t^2+1
+        assert set(conj) == want
 
     def test_degree_one(self):
-        orbit = frobenius_orbit(P(F2, "t+1"), 2)
-        assert orbit.size == 1
-        assert orbit.conjugates == [P(F2, "1")]
+        assert frobenius_conjugates(F2, 1, 2) == [1]
+        K = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
+        assert frobenius_conjugates(K, K.one, 2) == [K.one]
 
     def test_quartic_q4(self):
-        assert frobenius_orbit(P(F2, "t^4+t+1"), 4).size == 2
+        K = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
+        assert len(frobenius_conjugates(K, K.gen(), 4)) == 2
 
     @pytest.mark.parametrize("s", ["t^2+t+1", "t^3+t+1", "t^4+t+1", "t^6+t+1"])
     def test_size_divides_degree(self, s):
         f = P(F2, s)
-        assert frobenius_orbit(f, 2).size == f.degree
+        K = ExtensionField(F2, f.coeffs)
+        assert len(frobenius_conjugates(K, K.gen(), 2)) == f.degree
         for j in (2, 3):
-            q = 2 ** j
-            assert f.degree % frobenius_orbit(f, q).size == 0
+            assert f.degree % len(frobenius_conjugates(K, K.gen(), 2 ** j)) == 0
 
     def test_cyclic_permutation(self):
-        f = P(F2, "t^4+t+1")
-        orbit = frobenius_orbit(f, 2)
-        conj = orbit.conjugates
+        K = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
+        conj = frobenius_conjugates(K, K.gen(), 2)
         for i, c in enumerate(conj):
-            assert c.pow_mod(2, f) == conj[(i + 1) % len(conj)]
+            assert K.pow(c, 2) == conj[(i + 1) % len(conj)]
 
-    def test_errors(self):
-        with pytest.raises(errors.NotIrreducible):
-            frobenius_orbit(P(F2, "t^2+1"), 2)
-        with pytest.raises(errors.BaseMismatch):
-            frobenius_orbit(P(F2, "t^2+t+1"), 3)
+
+def _seeded_elements(K, count, seed):
+    rng = random.Random(seed)
+    return [K.gen()] + [K.from_packed_int(rng.randrange(K.size())) for _ in range(count)]
+
+
+MINPOLY_FIELDS = {
+    **{f"F{2 ** k}": _prime_ext(2, k) for k in range(2, 7)},
+    **{f"F{3 ** k}": _prime_ext(3, k) for k in range(2, 7)},
+    "F10201": _prime_ext(101, 2),
+    "F64/F4": lambda: _tower(F2, 2, 3),
+    "F256/F4": lambda: _tower(F2, 2, 4),
+    "F81/F9": _tower_f81,
+    "F729/F9": lambda: _tower(F3, 2, 3),
+}
+
+
+def _tower(p_field, k, m):
+    inner = ExtensionField(p_field, find_irreducible(p_field, k).coeffs)
+    return ExtensionField(inner, find_irreducible(inner, m).coeffs)
+
+
+class TestMinimalPolynomial:
+    @pytest.mark.parametrize("name", sorted(MINPOLY_FIELDS))
+    def test_matches_solve_oracle(self, name):
+        K = MINPOLY_FIELDS[name]()
+        for u in _seeded_elements(K, 12, name):
+            m = minimal_polynomial(K, u)
+            assert m == minimal_polynomial_by_solve(K, u)
+            assert K.is_zero(lift_poly(K, m)(u))
+
+    def test_needs_a_finite_base(self):
+        K = ExtensionField(QQ, P(QQ, "x^2-2").coeffs)
+        with pytest.raises(errors.UnsupportedField):
+            minimal_polynomial(K, K.gen())
+
+
+class TestLiftDescend:
+    @pytest.mark.parametrize("name", ["F16", "F81/F9", "F256/F4"])
+    def test_descend_undoes_lift(self, name):
+        K = {**KERNEL_FIELDS, **MINPOLY_FIELDS}[name]()
+        fields_down = [K]
+        while isinstance(fields_down[-1], ExtensionField):
+            fields_down.append(fields_down[-1].base)
+        for base in fields_down:  # every field of the tower, K and F_p included
+            for c in list(base.elements())[:20]:
+                assert descend(K, base, lift(K, base, c)) == c
+
+    def test_lift_is_a_ring_map(self):
+        K = _tower_f81()
+        F9 = K.base
+        assert lift(K, F3, 2) == K.embed(F9.embed(2))
+        for a in F9.elements():
+            for b in F9.elements():
+                assert lift(K, F9, F9.add(a, b)) == K.add(lift(K, F9, a), lift(K, F9, b))
+                assert lift(K, F9, F9.mul(a, b)) == K.mul(lift(K, F9, a), lift(K, F9, b))
+
+    def test_lift_poly_across_a_tower(self):
+        K = _tower_f81()
+        f = P(F3, "x^3+2*x+1")
+        fK = lift_poly(K, f)
+        assert fK.field == K and [descend(K, F3, c) for c in fK.coeffs] == list(f.coeffs)
+
+    def test_refusals(self):
+        K = _tower_f81()
+        with pytest.raises(errors.BadInput):
+            descend(K, F3, K.gen())  # t is not in F_3
+        with pytest.raises(errors.BadInput):
+            descend(K, F3, K.embed(K.base.gen()))  # nor is the generator of F_9
+        with pytest.raises(errors.IncompatibleFields):
+            lift(K, F2, 1)
+        with pytest.raises(errors.BadInput):
+            descend(K, F2, K.one)  # F_2 is not under K at all
 
 
 class TestCanonicalOrder:

@@ -173,6 +173,22 @@ class TestHomoEval:
         )
         assert homo_eval(w).is_identity()
 
+    def test_mixed_fields_refused(self):
+        # depth-17 letters over F2 and over F3 both map to the Hirzebruch
+        # factor, which does not name a field: they used to cancel to 1
+        F3 = PrimeField(3)
+        links = [
+            instantiate_link(
+                make_link_template(F, find_irreducible(F, 17)), hirzebruch(0), random.Random(0)
+            )
+            for F in (F2, F3)
+        ]
+        w = word([LinkLetter(links[0], 1), LinkLetter(links[1], -1)])
+        with pytest.raises(errors.UnresolvedClass):
+            homo_eval(w)
+        with pytest.raises(errors.UnresolvedClass):
+            homo_refined_eval(w)
+
     def test_class_key_depends_on_field(self):
         # one orbit polynomial over Q and over F2: the model keys agree, the
         # classes do not, whichever field is evaluated first

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cremona_kit import errors
-from cremona_kit.fields import PrimeField, find_irreducible
+from cremona_kit.fields import PrimeField, find_irreducible, poly_from_string as P
 from cremona_kit.catalog import (
     CENTER_INF,
     SarkisovLink,
@@ -165,6 +165,19 @@ class TestReduce:
         src = letters[0].src
         w = GroupoidWord(tuple(letters), src, src)
         assert reduce_relation(w).is_trivial
+
+    def test_mixed_fields_refused(self):
+        # an F2 link at the center x+1 and the inverse of the same link over
+        # F3: the center keys agree, so the pair used to cancel
+        F3 = PrimeField(3)
+        l2, l3 = (
+            instantiate_link(make_link_template(F, P(F, "x+1")), hirzebruch(0), rng())
+            for F in (F2, F3)
+        )
+        w = word([LinkLetter(l2, 1), LinkLetter(l3, -1)])
+        assert word_validate(w).reason == "field"
+        with pytest.raises(errors.IncompatibleFields):
+            reduce_relation(w)
 
     def test_not_a_relator(self):
         l = instantiate_link(BY_DEPTH[3], hirzebruch(0), rng())
