@@ -296,7 +296,7 @@ def _conic_profile_rows(f):
     field = f.field
     x = Poly(field, (field.zero, field.one))
     exps = [0, 1, 2, 2, 3, 4]
-    cols = [x.pow_mod(e, f) if e else Poly(field, (field.one,)) % f for e in exps]
+    cols = [x.pow_mod(e, f) for e in exps]
     rows = []
     for i in range(f.degree):
         rows.append([c.coeffs[i] if i <= c.degree else field.zero for c in cols])
@@ -309,7 +309,7 @@ def _split_profile_rows(f, g):
     x = Poly(field, (field.zero, field.one))
 
     def block(h, cols_idx):
-        pows = [Poly(field, (field.one,)) % h, x % h, x.pow_mod(2, h)]
+        pows = [x.pow_mod(e, h) for e in (0, 1, 2)]
         rows = []
         for i in range(h.degree):
             row = [field.zero] * 6

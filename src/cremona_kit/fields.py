@@ -47,6 +47,8 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # fields
 
+EXT_DEGREE_CAP = 64  # desk scale: largest extension degree over any base
+
 
 class Field:
     """Common interface; subclasses provide add/sub/mul/neg/inv/from_int."""
@@ -66,14 +68,17 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
+        """a^e by left-to-right binary powering: one squaring per exponent
+        bit after the leading one, and one product per set bit."""
         if e < 0:
             return self.pow(self.inv(a), -e)
-        acc = self.one
-        while e:
-            if e & 1:
+        if not e:
+            return self.one
+        acc = a
+        for bit in bin(e)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
                 acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
         return acc
 
     def is_zero(self, a):
@@ -292,8 +297,8 @@ class ExtensionField(Field):
             mod = mod[:-1]
         if len(mod) < 3:
             raise BadInput("extension modulus must have degree >= 2")
-        if len(mod) > 65:
-            raise BadInput("extension degree capped at 64 (desk scale)")
+        if len(mod) - 1 > EXT_DEGREE_CAP:
+            raise BadInput(f"extension degree capped at {EXT_DEGREE_CAP} (desk scale)")
         if mod[-1] != base.one:
             raise BadInput("extension modulus must be monic")
         self.modulus = mod
@@ -598,6 +603,20 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _of(cls, field, coeffs):
+        """A polynomial from coefficients that are already normalized
+        elements of field, such as the results of its operations: trailing
+        zeros are trimmed (zero is falsy in every field here), nothing is
+        normalized again."""
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(coeffs[:n])
+        return p
+
     @property
     def degree(self):
         return len(self.coeffs) - 1  # zero polynomial has degree -1
@@ -633,11 +652,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return Poly._of(f, out)
 
     def __neg__(self):
         f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return Poly._of(f, [f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -646,20 +665,20 @@ class Poly:
         f = self.field
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
-                return Poly(f, ())
+                return Poly._of(f, ())
             out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if f.is_zero(a):
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = f.add(out[i + j], f.mul(a, b))
-            return Poly(f, out)
+            return Poly._of(f, out)
         return self.scale(other)
 
     def scale(self, c):
         f = self.field
         c = f.normalize(c)
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly._of(f, [f.mul(c, a) for a in self.coeffs])
 
     def divmod(self, other):
         f = self.field
@@ -668,7 +687,7 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Poly(f, ()), self
+            return Poly._of(f, ()), self
         quot = [f.zero] * (dq + 1)
         lc = other.coeffs[-1]
         inv_lc = None if lc == f.one else f.inv(lc)  # most divisors are monic
@@ -680,7 +699,7 @@ class Poly:
             quot[k] = q
             for j, b in enumerate(other.coeffs):
                 rem[k + j] = f.sub(rem[k + j], f.mul(q, b))
-        return Poly(f, quot), Poly(f, rem)
+        return Poly._of(f, quot), Poly._of(f, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -714,14 +733,18 @@ class Poly:
         return acc
 
     def pow_mod(self, e, mod):
-        f = self.field
-        acc = Poly(f, (f.one,))
-        base = self % mod
-        while e:
-            if e & 1:
-                acc = (acc * base) % mod
-            base = (base * base) % mod
-            e >>= 1
+        """self^e mod mod by left-to-right binary powering from the reduced
+        base: one squaring per exponent bit after the leading one, and one
+        product per set bit.  The result is reduced mod mod, also for e = 0."""
+        if e < 0:
+            raise ValueError(f"pow_mod needs a nonnegative exponent, got {e}")
+        if not e:
+            return Poly._of(self.field, (self.field.one,)) % mod
+        base = acc = self % mod
+        for bit in bin(e)[3:]:
+            acc = acc * acc % mod
+            if bit == "1":
+                acc = acc * base % mod
         return acc
 
     def __repr__(self):
@@ -882,6 +905,8 @@ def canonical_extension(base, n):
     log/exp tables are built once and live as long as the base does."""
     if n == 1:
         return base
+    if n > EXT_DEGREE_CAP:  # refused before the search for the modulus
+        raise BadInput(f"extension degree capped at {EXT_DEGREE_CAP} (desk scale)")
     memo = getattr(base, "_extensions", None)
     if memo is None:  # set, not base.__dict__: that would slow base's own attribute loads
         memo = base._extensions = {}

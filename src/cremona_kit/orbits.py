@@ -39,6 +39,7 @@ from .errors import (
     MALFORMED_JSON,
 )
 from .fields import (
+    EXT_DEGREE_CAP,
     ExtensionField,
     IRREDUCIBLE,
     Poly,
@@ -68,7 +69,6 @@ GP_YES = "yes"
 GP_NO = "no"
 GP_UNKNOWN = "unknown"
 
-EXT_DEGREE_CAP = 64  # desk scale
 CENSUS_CAP = 50_000  # closed points one enumeration may list (F_7: 39,312 of degree 3)
 
 

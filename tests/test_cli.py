@@ -232,6 +232,15 @@ class TestErrors:
         assert code == 1 and out == ""
         assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
 
+    @pytest.mark.parametrize("k", [65, 128])
+    def test_over_cap_extension_refused_at_once(self, k, capsys):
+        # refused before find_irreducible searches for a degree-k modulus
+        start = time.perf_counter()
+        code, out, err = run(["field", "factor", "--field", f"F{2**k}", "--poly", "x+1"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == "BadInput"
+
     @pytest.mark.parametrize(
         "field,poly", [("F2", "1/2*x+1"), ("F4", "x^2+3/2"), ("Q", "1/0*x+1")]
     )

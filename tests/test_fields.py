@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from cremona_kit import errors
 from cremona_kit.fields import (
     ExtensionField,
+    Field,
     IRREDUCIBLE,
     Poly,
     PrimeField,
     QQ,
     REDUCIBLE,
+    Rationals,
     UNVERIFIED,
     canonical_extension,
     descend,
@@ -447,6 +449,193 @@ class TestExtensionField:
         R = ExtensionField(F2, (1, 0, 1), check=False)
         with pytest.raises(errors.NotIrreducible):
             R.inv((1, 1))
+
+
+def _power_walk(mul, one, a, steps):
+    """1, a, a^2, ... by repeated multiplication, until a power repeats (in
+    a finite ring every power sequence does) or after `steps` products.
+    Returns the walk and the index of its first repeated power, or None if
+    no power repeated."""
+    seen, walk, x = {}, [], one
+    for _ in range(steps):
+        if x in seen:
+            return walk, seen[x]
+        seen[x] = len(walk)
+        walk.append(x)
+        x = mul(x, a)
+    return walk, None
+
+
+def _walk_power(walk, start, e):
+    """a^e read off a power walk: directly, or from its cycle."""
+    if e < len(walk):
+        return walk[e]
+    assert start is not None, f"the walk never cycled and stops short of {e}"
+    return walk[start + (e - start) % (len(walk) - start)]
+
+
+def _linear(K, a, lc=None):
+    """lc * (x - a), lc = 1 by default."""
+    lc = K.one if lc is None else lc
+    return Poly(K, (K.neg(K.mul(lc, a)), lc))
+
+
+def _case(K, *moduli):
+    return K, [P(K, m) for m in moduli]
+
+
+def _split_case(K, seed):
+    """A monic product of three distinct linear factors, a non-monic
+    product of two, and a non-monic degree-1 modulus: every power walk
+    modulo these cycles within q steps."""
+    a, b, c, lc = (K.from_packed_int(n) for n in random.Random(seed).sample(range(2, K.size()), 4))
+    return K, [
+        _linear(K, a) * _linear(K, b) * _linear(K, c),
+        _linear(K, a, lc) * _linear(K, b),
+        _linear(K, c, lc),
+    ]
+
+
+# field -> moduli: monic (the first one irreducible over a prime field),
+# non-monic, degree 1.  F2 has no non-monic polynomial; x^4 stands in, with
+# a nilpotent x.  Over Q only torsion bases cycle: x is a root of unity
+# modulo each modulus.
+POWER_CASES = {
+    "F2": lambda: _case(F2, "x^5+x^2+1", "x^4", "x^6+x^5+x^4+x^3+x^2+x+1", "x+1"),
+    "F3": lambda: _case(F3, "x^4+x+2", "2*x^3+x+1", "2*x+1"),
+    "F101": lambda: _case(PrimeField(101), "x^2+2", "x^3-13*x^2+47*x-35", "3*x^2-33*x+54", "7*x+3"),
+    "F256": lambda: _split_case(KERNEL_FIELDS["F256"](), 256),
+    "F81/F9": lambda: _split_case(KERNEL_FIELDS["F81/F9"](), 81),
+    "Q": lambda: _case(QQ, "x^3-1", "2*x^2+2", "3*x+3"),
+}
+
+
+def _exponents(q, seed):
+    rng = random.Random(seed)
+    near_q = [q - 1, q, q + 1] if q else []
+    return (
+        [0, 1, 2, 3] + near_q + [2**k + s for k in (5, 8, 13) for s in (-1, 1)]
+        + [rng.getrandbits(40) | 1 << 39 for _ in range(3)]
+    )
+
+
+class TestPowering:
+    """Poly.pow_mod and Field.pow against repeated multiplication: the
+    powers of a base are walked until they repeat, and a 40-bit exponent is
+    read off the cycle."""
+
+    @pytest.mark.parametrize("name", sorted(POWER_CASES))
+    def test_pow_mod_matches_repeated_products(self, name):
+        K, moduli = POWER_CASES[name]()
+        rng = random.Random(name)
+        exps = _exponents(K.size(), name)
+        for M in moduli:
+            def mul(u, v):
+                return u * v % M
+
+            one = Poly(K, (K.one,)) % M
+            if K.is_finite():  # bases up to twice the degree of M, reduced first
+                bases = [Poly(K, ()), Poly(K, (K.one,)), P(K, "x")] + [
+                    Poly(K, [
+                        K.from_packed_int(rng.randrange(K.size()))
+                        for _ in range(rng.randrange(1, 2 * M.degree + 1))
+                    ])
+                    for _ in range(4)
+                ]
+            else:
+                bases = [Poly(K, ()), P(K, "-1"), P(K, "x"), P(K, "-x^4")]
+            for A in bases:
+                walk, start = _power_walk(mul, one, A % M, 20000)
+                for e in exps:
+                    assert A.pow_mod(e, M) == _walk_power(walk, start, e), (A, e, M)
+            if not K.is_finite():  # no cycle: small exponents only
+                for A in (P(K, "x+1"), P(K, "3/2*x^3-x")):
+                    walk, start = _power_walk(mul, one, A % M, 66)
+                    for e in [e for e in exps if e <= 65]:
+                        assert A.pow_mod(e, M) == _walk_power(walk, start, e), (A, e, M)
+
+    def test_pow_mod_edge_exponents(self):
+        # e = 0 gives 1 reduced mod the modulus: 0 modulo a constant
+        assert P(F3, "x+1").pow_mod(0, P(F3, "2")) == Poly(F3, ())
+        assert P(F3, "x+1").pow_mod(0, P(F3, "x^2+1")) == Poly(F3, (1,))
+        with pytest.raises(ValueError):
+            P(F3, "x+1").pow_mod(-1, P(F3, "x^2+1"))
+
+    @pytest.mark.parametrize("name", sorted(POWER_CASES))
+    def test_field_pow_matches_repeated_products(self, name):
+        K = POWER_CASES[name]()[0]
+        rng = random.Random(name)
+        exps = _exponents(K.size(), name)
+        if K.is_finite():
+            elems = [K.zero, K.one] + [K.from_packed_int(rng.randrange(K.size())) for _ in range(6)]
+            short = []
+        else:
+            elems = [K.zero, K.one, -K.one]
+            short = [Fraction(3, 2), Fraction(-2, 7)]
+        pows = [K.pow]
+        if isinstance(K, ExtensionField):
+            pows.append(lambda a, e: Field.pow(K, a, e))  # without the log tables
+        for a in elems + short:
+            walk, start = _power_walk(K.mul, K.one, a, 66 if a in short else 20000)
+            for e in exps if a not in short else [e for e in exps if e <= 65]:
+                want = _walk_power(walk, start, e)
+                for pow_ in pows:
+                    assert pow_(a, e) == want, (a, e)
+                    if a and e:
+                        assert K.mul(pow_(a, -e), want) == K.one, (a, -e)
+
+
+def _is_element(K, c):
+    """c is a normalized element of K, of K's own type."""
+    if isinstance(K, Rationals):
+        return type(c) is Fraction
+    if isinstance(K, PrimeField):
+        return type(c) is int and 0 <= c < K.p
+    return (
+        type(c) is tuple and len(c) <= K.degree and (not c or bool(c[-1]))
+        and all(_is_element(K.base, x) for x in c)
+    )
+
+
+def _assert_normalized(f):
+    assert type(f.coeffs) is tuple and (not f.coeffs or bool(f.coeffs[-1]))
+    assert all(_is_element(f.field, c) for c in f.coeffs), f.coeffs
+    assert Poly(f.field, f.coeffs) == f
+
+
+NORMALIZE_FIELDS = {
+    "Q": lambda: QQ,
+    "F7": lambda: PrimeField(7),
+    "F49": KERNEL_FIELDS["F49"],
+    "F81/F9": KERNEL_FIELDS["F81/F9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZE_FIELDS))
+def test_internal_results_stay_normalized(name):
+    """The results of +, -, *, scale, divmod, gcd, monic and pow_mod are
+    built without normalizing their coefficients again; they must equal
+    what Poly makes of the same coefficients, element types included."""
+    K = NORMALIZE_FIELDS[name]()
+    rng = random.Random(name)
+
+    def elem():
+        if not K.is_finite():
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        return K.from_packed_int(rng.randrange(K.size()))
+
+    polys = [Poly(K, [elem() for _ in range(rng.randrange(0, 7))]) for _ in range(12)]
+    polys += [P(K, "x^3+2*x+1"), P(K, "-x^3+x^2"), P(K, "1")]  # leading terms cancel
+    for a in polys:
+        _assert_normalized(a)
+        for r in (-a, a * 5, a.scale(elem()), a.monic(), a + (-a), a - a):
+            _assert_normalized(r)
+        for b in polys:
+            for r in (a + b, a - b, a * b, a.gcd(b)):
+                _assert_normalized(r)
+            if not b.is_zero():
+                for r in a.divmod(b) + (a.pow_mod(3, b),):
+                    _assert_normalized(r)
 
 
 class TestResultant:
