@@ -18,7 +18,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import MALFORMED_JSON, BadInput, NonRational
 from .fields import Poly, poly_from_json, poly_to_json
-from .orbits import PointOrbit, SPLIT, orbit_from_json, orbit_to_json, pgl3_form
+from .orbits import (
+    EXPLICIT,
+    PointOrbit,
+    SPLIT,
+    general_position_points,
+    orbit_from_json,
+    orbit_to_json,
+    pgl3_form,
+)
 
 P2 = "P2"
 HIRZEBRUCH = "F"
@@ -43,7 +51,7 @@ class MoriFiberSpace:
         if self.kind == CB5:
             if self.orbit is None or self.orbit.size != 4:
                 raise BadInput("CB5 model needs a size-4 defining orbit")
-            if self.orbit.general_position == "no":
+            if not _in_general_position(self.orbit):
                 raise BadInput("CB5 defining orbit must be in general position")
         if self.kind == CB6:
             if self.orbit is None or self.orbit.template != SPLIT:
@@ -82,6 +90,15 @@ class MoriFiberSpace:
 
     def __repr__(self):
         return self.key()
+
+
+def _in_general_position(orbit):
+    """An explicit orbit's points decide (four determinants for a CB5 model),
+    not the general_position it was read with; the other templates computed
+    theirs from the minimal polynomial when they were built."""
+    if orbit.template == EXPLICIT:
+        return general_position_points(orbit.coord_field, orbit.points) is True
+    return orbit.general_position != "no"
 
 
 def projective_plane():

@@ -597,16 +597,7 @@ def refined_target_report(field, bound):
     if bound < 17:
         raise BadInput("bound must be at least 17 (depth 2n+1 with n >= 8)")
     notes = []
-    indices = []
-    for d in range(17, bound + 1, 2):
-        if field.is_finite():
-            poly = find_irreducible(field, d)
-        else:
-            poly = Poly(QQ, [-2] + [0] * (d - 1) + [1])
-            assert irreducible_check(poly).verdict == IRREDUCIBLE
-        indices.append(((d - 1) // 2, d, poly))
-
-    n2, n4 = {}, {}
+    n2, n4 = {}, {}  # first: over a large field the census refuses at once
     if field.is_finite():
         for size, table in ((2, n2), (4, n4)):
             orbits = enumerate_point_orbits(field, size)
@@ -618,6 +609,15 @@ def refined_target_report(field, bound):
         n2["all"] = n4["all"] = None
         n2["general_position"] = n4["general_position"] = None
         notes.append("orbit classes not enumerable over Q (infinitely many)")
+
+    indices = []
+    for d in range(17, bound + 1, 2):
+        if field.is_finite():
+            poly = find_irreducible(field, d)
+        else:
+            poly = Poly(QQ, [-2] + [0] * (d - 1) + [1])
+            assert irreducible_check(poly).verdict == IRREDUCIBLE
+        indices.append(((d - 1) // 2, d, poly))
 
     r17 = indices[0][2]
     dj_word, _ = dejonquieres_decompose(DeJonquieresMap(r17))

@@ -831,11 +831,19 @@ def poly_from_json(obj):
 
 
 def monic_polys(field, degree):
-    """All monic polynomials of the given degree in canonical order."""
-    elems = sorted(field.elements(), key=field.sort_key)
-    # canonical order compares coefficients from the top down
-    for tup in itertools.product(elems, repeat=degree):
-        yield Poly(field, tuple(reversed(tup)) + (field.one,))
+    """All monic polynomials of the given degree in canonical order (top
+    coefficient first), read lazily off a base-q counter whose lowest digit
+    is the constant term."""
+    if not field.is_finite():
+        raise UnsupportedField("cannot enumerate an infinite field")
+    q, elem, one = field.size(), field.from_packed_int, field.one
+    for n in range(q ** degree):
+        coeffs = []
+        for _ in range(degree):
+            n, r = divmod(n, q)
+            coeffs.append(elem(r))
+        coeffs.append(one)
+        yield Poly._of(field, coeffs)
 
 
 def _prime_divisors(n):

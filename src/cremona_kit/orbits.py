@@ -16,8 +16,9 @@ than guessed.
 
 PGL_3(F_q)-equivalence is decided in this module only, by one Galois-descent
 form for every q (see the PGL_3 section): `pgl3_form` names the class of a
-union of orbits, `pgl3_classify` groups orbits by it and `match_transform`
-composes the matrices that send two sets to their common form.
+union of orbits and `pgl3_classify` groups orbits by it.  `match_transform`
+needs no form: it orders two 4-point sets along Frobenius and sends one
+frame onto the other.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -147,7 +148,7 @@ def orbit_from_json(obj):
         return orbit_from_poly(base, min_poly, template, second, allow_unverified=True)
     if K != base and not (base.is_finite() and irreducible_check(min_poly).verdict == IRREDUCIBLE):
         raise BadInput("explicit coordinates need an irreducible min_poly over a finite field")
-    pts = tuple(normalize_point(K, pt) for pt in pts)  # K is a field from here on
+    pts = _sorted_points(K, pts)  # K is a field from here on; one key per point set
     if type(size) is not int or size != len(pts) or any(len(pt) != 3 for pt in pts):
         raise BadInput("an explicit orbit needs `size` points with 3 coordinates each")
     if K != base and _set_key(K, (_frobenius(K, p, base.size()) for p in pts)) != _set_key(K, pts):
@@ -542,14 +543,14 @@ def _frames(K, cycles):
 
 
 def _twist_form(K, q, cycles):
-    """(key, A): the least (c, A.U) over _frames and their sigma-images, and
-    the A that attains it; None when the points have no frame."""
+    """The least (c, A.U) over _frames and their sigma-images; None when the
+    points have no frame."""
     mul = K.mul
 
     def sigma(x, i):
         return K.pow(x, q ** i) if i and x else x
 
-    best = None
+    candidates = []
     for t, (A, lam, mu, det) in _frames(K, cycles):
         d, at = len(lam), {(ci, e % len(cycles[ci])): j for j, (ci, e) in enumerate(t)}
         cols = []  # c = A sigma(M): column k is sigma(lam_k) A.sigma(t_k)
@@ -571,20 +572,20 @@ def _twist_form(K, q, cycles):
                 keys = [K.sort_key(sigma(x, i)) for i in shifts]
                 shifts = [i for i, k in zip(shifts, keys) if k == min(keys)]
             shifts = shifts[:1]
-        for i in shifts:
-            key = (tuple([K.sort_key(sigma(x, i)) for x in flat]),
-                   _set_key(K, [[sigma(x, i) for x in p] for p in rest]))
-            if best is None or key < best[0]:
-                best = key, [[sigma(x, i) for x in row] for row in A]
-    return best
+        candidates.extend(
+            (tuple([K.sort_key(sigma(x, i)) for x in flat]),
+             _set_key(K, [[sigma(x, i) for x in p] for p in rest]))
+            for i in shifts
+        )
+    return min(candidates, default=None)
 
 
 def _descent(K, pts, q):
-    """(form, A) of a Frobenius-stable list of distinct points in P^2(K).
+    """The form of a Frobenius-stable list of distinct points in P^2(K).
 
     At most 3 points: the ordered configuration has a connected stabilizer,
     so by Lang's theorem incidence and the Frobenius cycle type name the
-    class.  Sets with a frame: _twist_form's key, A sending the set to it.
+    class.  Sets with a frame: _twist_form's key.
     Other sets lie on a line L but for at most one point (so L and that
     point are rational): the PGL_2 descent of the points on L, in the
     coordinates left when one that L's equation involves is dropped.
@@ -593,7 +594,7 @@ def _descent(K, pts, q):
     if len(pts) <= 3:
         flat = len(pts) == 3 and not linalg.det3(K, pts)
         lengths = "+".join(str(n) for n in sorted((len(c) for c in cycles), reverse=True))
-        return f"points:{'line' if flat else 'free'}:{lengths}", None
+        return f"points:{'line' if flat else 'free'}:{lengths}"
     found, kind = _twist_form(K, q, cycles), "frame"
     if found is None:
         lines = (cross(K, u, v) for u, v in itertools.combinations(pts[:3], 2))
@@ -602,16 +603,16 @@ def _descent(K, pts, q):
         on = [[normalize_point(K, p[:j] + p[j + 1:]) for p in c]
               for c in cycles if not dot(K, line, c[0])]
         found, kind = _twist_form(K, q, on), "line" if len(on) == len(cycles) else "line+point"
-    (c, rest), A = found
+    c, rest = found
     form = ",".join(map(str, c)) + "".join(";" + ",".join(map(str, p)) for p in rest)
-    return f"{kind}:{form}", A if kind == "frame" else None
+    return f"{kind}:{form}"
 
 
 def pgl3_form(field, orbits):
     """Canonical form of a union of orbits over a finite field: forms agree
     exactly when a matrix of PGL_3(field) maps one union onto the other."""
     K = common_coordinate_field(field, orbits)
-    return _descent(K, _points_in(K, orbits), field.size())[0]
+    return _descent(K, _points_in(K, orbits), field.size())
 
 
 @dataclass
@@ -645,7 +646,7 @@ def pgl3_classify(orbits, field, filter=ALL):
         for o in group:
             memo = o.__dict__.setdefault("_forms", {})  # kept on the orbit, as key() is
             if K not in memo:
-                memo[K] = _descent(*materialize_points(o, K=K), q)[0]
+                memo[K] = _descent(*materialize_points(o, K=K), q)
             forms.setdefault(memo[K], []).append(o)
         classes.extend(
             OrbitClass(f"pgl3[q={q},n={size}]:{form}", members[0], tuple(members), "galois-descent")
@@ -662,11 +663,14 @@ def pgl3_classify(orbits, field, filter=ALL):
 def match_transform(P, Q):
     """A matrix of PGL_3(k) sending the 4-point set P onto Q, or None.
 
-    Over a finite field the sets match exactly when their descent forms
-    agree, and then A_Q^-1 A_P is rational; sets whose Frobenius cycle types
-    differ raise FingerprintMismatch.  Over Q only identical normal forms and
-    fully rational explicit sets (point i of P onto point i of Q) are
-    decided; anything else is NoMatch.
+    Four points in general position are a frame, so a bijection between two
+    such sets extends to exactly one matrix, which is rational when the
+    bijection commutes with Galois (Hilbert 90).  Over a finite field each
+    set is ordered along Frobenius, its cycles shortest first and each
+    walked from its first point: sets in general position match exactly
+    when their cycle types agree, and otherwise raise FingerprintMismatch.
+    Over Q only identical normal forms and fully rational explicit sets
+    (point i of P onto point i of Q) are decided; anything else is NoMatch.
     """
     P_orbits, Q_orbits = ([X] if isinstance(X, PointOrbit) else list(X) for X in (P, Q))
     fields = {o.field for o in P_orbits + Q_orbits}
@@ -676,35 +680,28 @@ def match_transform(P, Q):
     if sum(o.size for o in P_orbits) != 4 or sum(o.size for o in Q_orbits) != 4:
         raise BadInput("match_transform expects two sets of 4 points")
 
-    finite = base.is_finite()
-    if finite:
+    if base.is_finite():
         K = common_coordinate_field(base, P_orbits + Q_orbits)
-        pts_p, pts_q = _points_in(K, P_orbits), _points_in(K, Q_orbits)
+        cycles_p, cycles_q = (
+            sorted(_cycles(K, _points_in(K, X), base.size()), key=len) for X in (P_orbits, Q_orbits)
+        )
     elif sorted(o.key() for o in P_orbits) == sorted(o.key() for o in Q_orbits):
         one, zero = base.one, base.zero
         return [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     elif all(o.template == EXPLICIT for o in P_orbits + Q_orbits):
-        K = base
-        pts_p = [pt for o in P_orbits for pt in o.points]
-        pts_q = [pt for o in Q_orbits for pt in o.points]
+        K = base  # rational points, each its own cycle
+        cycles_p, cycles_q = ([[pt] for o in X for pt in o.points] for X in (P_orbits, Q_orbits))
     else:
         return None  # NoMatch-conservatism over Q
+    pts_p, pts_q = ([p for c in cycles for p in c] for cycles in (cycles_p, cycles_q))
     if general_position_points(K, pts_p) is not True:
         raise CollinearTriple("P contains a collinear triple")
     if general_position_points(K, pts_q) is not True:
         raise CollinearTriple("Q contains a collinear triple")
-
-    if finite:
-        q = base.size()
-        if sorted(map(len, _cycles(K, pts_p, q))) != sorted(map(len, _cycles(K, pts_q, q))):
-            raise FingerprintMismatch("Galois actions on the two sets are incompatible")
-        (form_p, A_p), (form_q, A_q) = _descent(K, pts_p, q), _descent(K, pts_q, q)
-        if form_p != form_q:
-            return None
-    else:
-        A_p, A_q = _frame(K, pts_p)[0], _frame(K, pts_q)[0]
-    A = _normalize_matrix(K, linalg.mat_mul(K, linalg.inv3(K, A_q), A_p))
-    return [[descend(K, base, x) for x in row] for row in A]
+    if list(map(len, cycles_p)) != list(map(len, cycles_q)):
+        raise FingerprintMismatch("Galois actions on the two sets are incompatible")
+    A = linalg.mat_mul(K, linalg.inv3(K, _frame(K, pts_q)[0]), _frame(K, pts_p)[0])
+    return [[descend(K, base, x) for x in row] for row in _normalize_matrix(K, A)]
 
 
 def _normalize_matrix(K, A):

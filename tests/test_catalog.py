@@ -464,6 +464,20 @@ class TestJson:
         for model in (conic_bundle5(quartic_orbit()), conic_bundle6(split_orbit())):
             assert mfs_from_json(mfs_to_json(model)).key() == model.key()
 
+    @pytest.mark.parametrize("claim", ["yes", "unknown"])
+    def test_cb5_general_position_claim_checked(self, claim):
+        # four points of P^2(F2) with three on the line z = 0: the model is
+        # refused whatever the JSON says about general position
+        points = [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]
+        orbit = {"field": {"kind": "Fp", "p": 2}, "template": "explicit", "size": 4,
+                 "min_poly": {"field": {"kind": "Fp", "p": 2}, "coeffs": ["0", "1"]},
+                 "points": points, "general_position": claim}
+        with pytest.raises(errors.BadInput, match="general position"):
+            mfs_from_json({"kind": "CB5", "orbit": orbit})
+        frame = {**orbit, "points": points[:2] + [["1", "1", "1"]] + points[3:],
+                 "general_position": "no"}
+        assert mfs_from_json({"kind": "CB5", "orbit": frame}).kind == "CB5"
+
     def test_link_roundtrip(self):
         l = cb_link(5)
         back = link_from_json(link_to_json(l))

@@ -4,7 +4,7 @@ import random
 import signal
 import time
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 import pytest
 
 from cremona_kit import cli
@@ -551,6 +551,8 @@ class TestCliContract:
         max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(argv=argvs())
+    @example(argv=["biglink", "c6", "--field", "F2305843009213693951", "--pair", "t^2+1",
+                   "--rpoly", "x^2+x+1"])
     def test_argv(self, argv, tmp_path, capsys):
         paths = _write_inputs(tmp_path, INPUT_FILES)
         contract([paths.get(a, a) for a in argv], capsys)
@@ -580,6 +582,27 @@ class TestCliContract:
         )
         contract(["catalog", "validate", "--in", paths["l"]], capsys)
         contract(["word", "validate", "--in", paths["w"]], capsys)
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "refined", "--field", f"F{P61}", "--bound", "17"],
+        ["field", "factor", "--field", f"F{P61 ** 2}", "--poly", "x^2+1"],
+        ["biglink", "c6", "--field", f"F{P61}", "--pair", "t^2+1", "--rpoly", "x^2+x+1"],
+    ],
+)
+def test_machine_word_prime(argv, capsys):
+    # the README accepts every machine-word prime: answer or refuse at once,
+    # without listing the field's elements
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1)
+    assert json.loads(out) if code == 0 else "error" in json.loads(err.splitlines()[-1])
 
 
 class TestDeterminism:

@@ -38,6 +38,7 @@ from cremona_kit.orbits import (
     lift_matrix,
     match_transform,
     materialize_points,
+    normalize_point,
     orbit_from_json,
     orbit_from_poly,
     orbit_to_json,
@@ -49,7 +50,7 @@ from cremona_kit.orbits import (
     transitive_sym4_audit,
 )
 
-from cremona_kit.linalg import mat_mul
+from cremona_kit.linalg import det3, mat_mul
 from cremona_kit.orbits import _cycles, _normalize_matrix
 from pgl3_sweep import pgl3_matrices, sweep_images
 from pgl3_walk import class_walk, partition, pgl3_generators, walk_partition
@@ -395,6 +396,66 @@ class TestMatchTransform:
         assert match_transform(o, other) is None  # NoMatch, never a proof
 
 
+class TestMatchCycleTypes:
+    """match_transform over F_q on every Frobenius cycle type of 4 points in
+    general position: a seeded PGL_3 image and an unrelated set of the same
+    type both match, checked by substitution, and every pair of different
+    types raises FingerprintMismatch."""
+
+    TYPES = [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
+
+    @staticmethod
+    def closed_point(F, d, rng):
+        K = canonical_extension(F, d)
+        while True:
+            coords = [K.from_packed_int(rng.randrange(K.size())) for _ in range(3)]
+            if any(coords):
+                (cycle,) = _cycles(K, [normalize_point(K, coords)], F.size())
+                if len(cycle) == d:
+                    return explicit_orbit(F, K, cycle)
+
+    def point_set(self, F, cycle_type, rng):
+        while True:
+            X = [self.closed_point(F, d, rng) for d in cycle_type]
+            K = common_coordinate_field(F, X)
+            pts = [p for o in X for p in materialize_points(o, K=K)[1]]
+            if len(set(pts)) == 4 and general_position_points(K, pts) is True:
+                return X
+
+    @staticmethod
+    def image(F, X, M):
+        out = []
+        for o in X:
+            K = o.coord_field
+            rows = lift_matrix(K, F, M)
+            out.append(explicit_orbit(F, K, [apply_matrix(K, rows, p) for p in o.points]))
+        return out
+
+    @staticmethod
+    def assert_maps_onto(F, A, X, Y):
+        assert A is not None and det3(F, A)
+        K = common_coordinate_field(F, X + Y)
+        rows = lift_matrix(K, F, A)
+        got = {apply_matrix(K, rows, p) for o in X for p in materialize_points(o, K=K)[1]}
+        assert got == {p for o in Y for p in materialize_points(o, K=K)[1]}
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 101])
+    def test_types(self, q):
+        F, rng = field_of_size(q), random.Random(q)
+        sets = {t: self.point_set(F, t, rng) for t in self.TYPES}
+        for t, X in sets.items():
+            while True:
+                M = [[F.from_packed_int(rng.randrange(q)) for _ in range(3)] for _ in range(3)]
+                if det3(F, M):
+                    break
+            for Y in (self.image(F, X, M), self.point_set(F, t, rng)):
+                self.assert_maps_onto(F, match_transform(X, Y), X, Y)
+            for u, Y in sets.items():
+                if u != t:
+                    with pytest.raises(errors.FingerprintMismatch):
+                        match_transform(X, Y)
+
+
 class TestLargeOrbit:
     def test_over_q(self):
         o = large_orbit(QQ, 17)
@@ -469,6 +530,19 @@ class TestJsonRoundTrip:
     def test_over_q(self):
         o = orbit_from_poly(QQ, P(QQ, "x^17-2"), LINE)
         assert orbit_from_json(orbit_to_json(o)).key() == o.key()
+
+    @pytest.mark.parametrize("field", [F2, QQ])
+    def test_explicit_point_order(self, field):
+        # the same four points listed in two orders read as one orbit
+        if field == QQ:
+            K, pts = QQ, [(QQ.one, QQ.from_int(i), QQ.from_int(i * i)) for i in range(4)]
+        else:
+            K, pts = materialize_points(orbit_from_poly(F2, P(F2, "t^4+t+1"), CONIC))
+        o = explicit_orbit(field, K, pts)
+        obj = orbit_to_json(o)
+        reordered = {**obj, "points": obj["points"][::-1]}
+        assert reordered["points"] != obj["points"]
+        assert orbit_from_json(reordered).key() == orbit_from_json(obj).key() == o.key()
 
 
 def test_fingerprint_is_permutation():
