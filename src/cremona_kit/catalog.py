@@ -19,10 +19,9 @@ from dataclasses import dataclass, field as dc_field
 from .errors import MALFORMED_JSON, BadInput, NonRational
 from .fields import Poly, poly_from_json, poly_to_json
 from .orbits import (
-    EXPLICIT,
+    GP_YES,
     PointOrbit,
     SPLIT,
-    general_position_points,
     orbit_from_json,
     orbit_to_json,
     pgl3_form,
@@ -51,15 +50,13 @@ class MoriFiberSpace:
         if self.kind == CB5:
             if self.orbit is None or self.orbit.size != 4:
                 raise BadInput("CB5 model needs a size-4 defining orbit")
-            if not _in_general_position(self.orbit):
+            if self.orbit.general_position != GP_YES:
                 raise BadInput("CB5 defining orbit must be in general position")
         if self.kind == CB6:
             if self.orbit is None or self.orbit.template != SPLIT:
                 raise BadInput(
                     "CB6 model needs its two size-2 orbits in split normal form"
                 )
-            if self.orbit.general_position == "no":
-                raise BadInput("CB6 defining orbits must be in general position")
 
     @property
     def base_dim(self):
@@ -90,15 +87,6 @@ class MoriFiberSpace:
 
     def __repr__(self):
         return self.key()
-
-
-def _in_general_position(orbit):
-    """An explicit orbit's points decide (four determinants for a CB5 model),
-    not the general_position it was read with; the other templates computed
-    theirs from the minimal polynomial when they were built."""
-    if orbit.template == EXPLICIT:
-        return general_position_points(orbit.coord_field, orbit.points) is True
-    return orbit.general_position != "no"
 
 
 def projective_plane():

@@ -146,11 +146,8 @@ def cmd_linsys_push(args):
     F2 = fields.PrimeField(2)
     size = args.orbit_size
     poly = fields.find_irreducible(F2, size)
-    src = orbits.PointOrbit(
-        F2, orbits.LINE, size, poly,
-        general_position=orbits.GP_YES if size < 3 else orbits.GP_NO,
-    )
-    tgt = orbits.PointOrbit(F2, orbits.CONIC, size, poly, general_position=orbits.GP_YES)
+    src = orbits.PointOrbit(F2, orbits.LINE, size, poly)
+    tgt = orbits.PointOrbit(F2, orbits.CONIC, size, poly)
     link = catalog.SarkisovLink(
         "II",
         catalog.hirzebruch(0),

@@ -63,8 +63,6 @@ from .catalog import (
 )
 from .orbits import (
     CONIC,
-    GP_NO,
-    GP_YES,
     LINE,
     PointOrbit,
     SPLIT,
@@ -117,25 +115,20 @@ class DeJonquieresAudit:
 
 def _unit_orbit(field, template):
     t = Poly(field, (field.zero, field.one))
-    return PointOrbit(field, template, 1, t, general_position=GP_YES)
+    return PointOrbit(field, template, 1, t)
 
 
-def dejonquieres_decompose(m, allow_unverified=False):
+def dejonquieres_decompose(m):
     """Word of d+1 letters: depth-d link P1xP1 -> F_d at the orbit of
     [0:1; t_i:1], then d depth-1 links F_n -> F_{n-1} at the image tower of
     [1:0; 1:0].  Returns (word, audit)."""
     p = m.p.monic()
     field = p.field
-    cert = irreducible_check(p)
-    if cert.verdict != IRREDUCIBLE and not (
-        cert.verdict == "Unverified" and allow_unverified
-    ):
+    if irreducible_check(p).verdict != IRREDUCIBLE:
         raise NotIrreducible(f"{p} is not certified irreducible")
     d = p.degree
-    q_orbit = PointOrbit(
-        field, LINE, d, p, general_position=GP_YES if d < 3 else GP_NO
-    )
-    contracted = PointOrbit(field, CONIC, d, p, general_position=GP_YES)
+    q_orbit = PointOrbit(field, LINE, d, p)
+    contracted = PointOrbit(field, CONIC, d, p)
     big = SarkisovLink(
         "II",
         hirzebruch(0),
@@ -221,8 +214,8 @@ def conjugate_to_p2(w, field=None):
     if field is None:
         field = _field_of(w)
     one, zero = field.one, field.zero
-    p1 = explicit_orbit(field, field, [(one, zero, zero)], check_gp=False)
-    p2 = explicit_orbit(field, field, [(zero, one, zero)], check_gp=False)
+    p1 = explicit_orbit(field, field, [(one, zero, zero)])
+    p2 = explicit_orbit(field, field, [(zero, one, zero)])
     blow1 = SarkisovLink(
         "I", projective_plane(), hirzebruch(1), orbit_src=p1, depth=1
     )
@@ -278,14 +271,11 @@ class BigLinkReport:
         }
 
 
-def _check_r_poly(r_poly, allow_unverified):
+def _check_r_poly(r_poly):
     r_poly = r_poly.monic()
     if r_poly.degree % 2 == 0:
         raise EvenDegree(f"need odd degree, got {r_poly.degree}")
-    cert = irreducible_check(r_poly)
-    if cert.verdict != IRREDUCIBLE and not (
-        cert.verdict == "Unverified" and allow_unverified
-    ):
+    if irreducible_check(r_poly).verdict != IRREDUCIBLE:
         raise NotIrreducible(f"{r_poly} is not certified irreducible")
     return r_poly
 
@@ -455,9 +445,7 @@ def _collinear_c6_q(f, g, r_poly):
 def _big_link(model, base_field, rows, r_poly, collinear_finite, collinear_q):
     Q1, Q2 = _pencil_basis(base_field, rows)
     D = r_poly.degree
-    q_orbit = PointOrbit(
-        base_field, LINE, D, r_poly, general_position=GP_YES if D < 3 else GP_NO
-    )
+    q_orbit = PointOrbit(base_field, LINE, D, r_poly)
     if base_field.is_finite():
         clear = collinear_finite()
         center, count = _parameters_and_center(base_field, Q1, Q2, r_poly)
@@ -495,15 +483,13 @@ def _big_link(model, base_field, rows, r_poly, collinear_finite, collinear_q):
     return link, report
 
 
-def c5_big_link(orbit4, r_poly, allow_unverified=False):
+def c5_big_link(orbit4, r_poly):
     """Type II link of odd depth deg r on the degree-5 bundle over the
     conic-form orbit.  Returns (link, report)."""
     if orbit4.template != CONIC or orbit4.size != 4:
         raise BadInput("c5_big_link expects a size-4 conic-form orbit")
-    if orbit4.general_position != GP_YES:
-        raise NotGeneralPosition("defining orbit is not in general position")
     field = orbit4.field
-    r_poly = _check_r_poly(r_poly, allow_unverified)
+    r_poly = _check_r_poly(r_poly)
     if r_poly.field != field:
         raise BadInput("orbit and r-polynomial live over different fields")
     f = orbit4.min_poly
@@ -517,15 +503,13 @@ def c5_big_link(orbit4, r_poly, allow_unverified=False):
     )
 
 
-def c6_big_link(split_orbit, r_poly, allow_unverified=False):
+def c6_big_link(split_orbit, r_poly):
     """Type II link of odd depth deg r on the degree-6 bundle over the
     split-form pair of size-2 orbits.  Returns (link, report)."""
     if split_orbit.template != SPLIT:
         raise BadInput("c6_big_link expects the split normal form")
-    if split_orbit.general_position == GP_NO:
-        raise NotGeneralPosition("defining orbits are not in general position")
     field = split_orbit.field
-    r_poly = _check_r_poly(r_poly, allow_unverified)
+    r_poly = _check_r_poly(r_poly)
     if r_poly.field != field:
         raise BadInput("orbit and r-polynomial live over different fields")
     f, g = split_orbit.min_poly, split_orbit.min_poly2

@@ -830,14 +830,14 @@ def poly_from_json(obj):
 # canonical enumeration and irreducibility over finite fields
 
 
-def monic_polys(field, degree):
+def monic_polys(field, degree, start=0):
     """All monic polynomials of the given degree in canonical order (top
     coefficient first), read lazily off a base-q counter whose lowest digit
-    is the constant term."""
+    is the constant term; the counter starts at `start`."""
     if not field.is_finite():
         raise UnsupportedField("cannot enumerate an infinite field")
     q, elem, one = field.size(), field.from_packed_int, field.one
-    for n in range(q ** degree):
+    for n in range(start, q ** degree):
         coeffs = []
         for _ in range(degree):
             n, r = divmod(n, q)
@@ -899,7 +899,14 @@ def find_irreducible(field, degree):
         raise BadInput(f"no irreducible polynomial has degree {degree}")
     if degree == 1:
         return Poly(field, (field.zero, field.one))
-    for cand in monic_polys(field, degree):
+    # the counter's first q values are the binomials x^d + c; x^d - a is
+    # irreducible only if every prime factor of d divides q - 1, and 4 does
+    # when 4 divides d (Lidl-Niederreiter, Thm 3.75): else skip them
+    q = field.size()
+    binomials = all((q - 1) % r == 0 for r in _prime_divisors(degree)) and (
+        degree % 4 != 0 or (q - 1) % 4 == 0
+    )
+    for cand in monic_polys(field, degree, start=0 if binomials else q):
         if is_irreducible(cand):
             return cand
     raise NotIrreducible(f"no irreducible of degree {degree} over {field}")

@@ -9,10 +9,17 @@ explicit coordinates in a finite extension:
   line      points [0 : 1 : r_i]
   explicit  normalized coordinate triples over F_{q^n}
 
-Over finite fields everything (positions, enumeration, PGL_3-classification,
+General position (no three points collinear) is decided once, exactly,
+when an orbit is built, by one rule: conic and split orbits are always in
+general position, line orbits exactly when they have fewer than 3 points,
+and explicit orbits by their points (`collinear_triple`, over F_q along
+Frobenius cycles, over Q on rational points).  A `general_position` passed
+in must agree with the rule; orbit JSON's claim is ignored.
+
+Over finite fields everything else (enumeration, PGL_3-classification,
 matching transforms) is computed exactly in explicit extensions; over Q only
-the symbolic normal forms are handled and anything else is refused rather
-than guessed.
+the symbolic normal forms and rational points are handled and anything else
+is refused rather than guessed.
 
 PGL_3(F_q)-equivalence is decided in this module only, by one Galois-descent
 form for every q (see the PGL_3 section): `pgl3_form` names the class of a
@@ -68,7 +75,6 @@ EXPLICIT = "explicit"
 
 GP_YES = "yes"
 GP_NO = "no"
-GP_UNKNOWN = "unknown"
 
 CENSUS_CAP = 50_000  # closed points one enumeration may list (F_7: 39,312 of degree 3)
 
@@ -86,7 +92,27 @@ class PointOrbit:
     min_poly2: object = None  # second quadratic for split
     points: tuple = None  # explicit normalized triples (coord_field elements)
     coord_field: object = dc_field(default=None, compare=False)
-    general_position: str = GP_UNKNOWN
+    general_position: str = None  # decided in __post_init__; a given value must agree
+
+    def __post_init__(self):
+        """General position, by the one rule.  conic: Vandermonde, distinct
+        conic parameters are never collinear.  split: the collinearity
+        determinants are b(a2-a1) and a(b2-b1), and the roots of an
+        irreducible quadratic are distinct and nonzero.  line: every point
+        has x = 0.  explicit: the points decide."""
+        gp = GP_NO if self.template == LINE and self.size >= 3 else GP_YES
+        if self.template == EXPLICIT and self.size >= 3:
+            K, base = self.coord_field, self.field
+            if base.is_finite():
+                cycles = _cycles(K, self.points, base.size())
+            elif K == base:
+                cycles = [[p] for p in self.points]
+            else:
+                raise UncomputableOverQ("explicit coordinates over Q must be rational")
+            gp = GP_YES if collinear_triple(K, cycles) is None else GP_NO
+        if self.general_position not in (None, gp):
+            raise BadInput(f"general_position {self.general_position!r} given, the points say {gp!r}")
+        object.__setattr__(self, "general_position", gp)
 
     def key(self):
         cached = getattr(self, "_key", None)
@@ -153,10 +179,7 @@ def orbit_from_json(obj):
         raise BadInput("an explicit orbit needs `size` points with 3 coordinates each")
     if K != base and _set_key(K, (_frobenius(K, p, base.size()) for p in pts)) != _set_key(K, pts):
         raise BadInput("explicit points must be closed under Frobenius")
-    return PointOrbit(
-        base, EXPLICIT, size, min_poly, points=pts, coord_field=K,
-        general_position=obj.get("general_position", GP_UNKNOWN),
-    )
+    return PointOrbit(base, EXPLICIT, size, min_poly, points=pts, coord_field=K)
 
 
 def coordinate_field(base, min_poly):
@@ -286,92 +309,42 @@ def orbit_from_poly(field, f, template, second_poly=None, allow_unverified=False
     else:
         second_poly = None
         size = f.degree
-    # conic: Vandermonde, three points on an irreducible conic are never
-    # collinear; line: all points share x=0.  Exact over any field.
-    if template == CONIC:
-        gp = GP_YES
-    elif template == LINE:
-        gp = GP_YES if size < 3 else GP_NO
-    elif field.is_finite():
-        orbit0 = PointOrbit(field, template, size, f, second_poly)
-        K, pts = materialize_points(orbit0)
-        verdict = general_position_points(K, pts)
-        gp = GP_YES if verdict is True else GP_NO
-    else:
-        gp = GP_UNKNOWN
-    return PointOrbit(field, template, size, f, second_poly, general_position=gp)
+    return PointOrbit(field, template, size, f, second_poly)
 
 
-def explicit_orbit(field, K, pts, min_poly=None, check_gp=True):
+def explicit_orbit(field, K, pts, min_poly=None):
     pts = _sorted_points(K, pts)
     if min_poly is None:
         if isinstance(K, ExtensionField) and K != field:
             min_poly = Poly(field, K.modulus)
         else:
             min_poly = Poly(field, (field.zero, field.one))
-    gp = GP_UNKNOWN
-    if check_gp and field.is_finite():
-        verdict = general_position_points(K, pts)
-        gp = GP_YES if verdict is True else GP_NO
-    return PointOrbit(
-        field,
-        EXPLICIT,
-        len(pts),
-        min_poly,
-        points=pts,
-        coord_field=K,
-        general_position=gp,
-    )
+    return PointOrbit(field, EXPLICIT, len(pts), min_poly, points=pts, coord_field=K)
 
 
 # ---------------------------------------------------------------------------
 # general position
 
 
-def general_position_points(K, pts):
-    """True, or a witness collinear triple."""
-    for a, b, c in itertools.combinations(pts, 3):
-        if not linalg.det3(K, (a, b, c)):
-            return (a, b, c)
-    return True
+def collinear_triple(K, cycles):
+    """A collinear triple of the points in cycles, or None.
 
-
-def general_position_check(orbits):
-    """Exhaustive no-three-collinear test on a union of orbits.
-
-    Finite fields: computed in the compositum.  Over Q: only a single orbit
-    in conic or split normal form is decidable symbolically.
-    """
-    if isinstance(orbits, PointOrbit):
-        orbits = [orbits]
-    fields = {o.field for o in orbits}
-    if len(fields) != 1:
-        raise IncompatibleFields("orbits live over different base fields")
-    base = orbits[0].field
-    total = sum(o.size for o in orbits)
-    if total < 3:
-        raise BadInput("need at least 3 points")
-    if base.is_finite():
-        K = common_coordinate_field(base, orbits)
-        verdict = general_position_points(K, _points_in(K, orbits))
-        if verdict is True:
-            return GP_YES, None
-        return GP_NO, verdict
-    if len(orbits) != 1:
-        raise UncomputableOverQ("unions over Q are not supported")
-    o = orbits[0]
-    if o.template == CONIC:
-        # Vandermonde: distinct conic parameters are never collinear
-        return GP_YES, None
-    if o.template == SPLIT:
-        # dets are b(a2-a1) and a(b2-b1); roots of irreducible quadratics
-        # over Q are distinct and nonzero
-        return GP_YES, None
-    if o.template == LINE:
-        if o.size >= 3:
-            return GP_NO, "all points lie on the line x=0"
-        return GP_YES, None
-    raise UncomputableOverQ("explicit coordinates over Q are rejected")
+    cycles are the Frobenius cycles of a Frobenius-stable point set (over
+    Q: one cycle per rational point).  Frobenius keeps collinearity, so a
+    collinear triple moves onto one through the first point of its
+    earliest cycle, with the other two points in that cycle or a later
+    one; only those triples are tested."""
+    pts = [p for c in cycles for p in c]
+    start = 0
+    for c in cycles:
+        rest = pts[start + 1:]
+        for i, b in enumerate(rest):
+            line = cross(K, c[0], b)
+            for d in rest[i + 1:]:
+                if not dot(K, line, d):  # zero is falsy in every field
+                    return (c[0], b, d)
+        start += len(c)
+    return None
 
 
 def common_coordinate_field(base, orbits):
@@ -592,7 +565,7 @@ def _descent(K, pts, q):
     """
     cycles = _cycles(K, pts, q)
     if len(pts) <= 3:
-        flat = len(pts) == 3 and not linalg.det3(K, pts)
+        flat = len(pts) == 3 and collinear_triple(K, cycles) is not None
         lengths = "+".join(str(n) for n in sorted((len(c) for c in cycles), reverse=True))
         return f"points:{'line' if flat else 'free'}:{lengths}"
     found, kind = _twist_form(K, q, cycles), "frame"
@@ -681,25 +654,34 @@ def match_transform(P, Q):
         raise BadInput("match_transform expects two sets of 4 points")
 
     if base.is_finite():
-        K = common_coordinate_field(base, P_orbits + Q_orbits)
-        cycles_p, cycles_q = (
-            sorted(_cycles(K, _points_in(K, X), base.size()), key=len) for X in (P_orbits, Q_orbits)
-        )
+        q = base.size()
+
+        def ordered(K, X):  # the cycles of X in K, shortest first
+            return sorted(_cycles(K, _points_in(K, X), q), key=len)
+
+        # each set is checked in its own field; the compositum is built
+        # only for sets whose cycle types agree
+        K_p, K_q = (common_coordinate_field(base, X) for X in (P_orbits, Q_orbits))
+        cycles_p, cycles_q = ordered(K_p, P_orbits), ordered(K_q, Q_orbits)
     elif sorted(o.key() for o in P_orbits) == sorted(o.key() for o in Q_orbits):
         one, zero = base.one, base.zero
         return [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     elif all(o.template == EXPLICIT for o in P_orbits + Q_orbits):
-        K = base  # rational points, each its own cycle
+        K_p = K_q = base  # rational points, each its own cycle
         cycles_p, cycles_q = ([[pt] for o in X for pt in o.points] for X in (P_orbits, Q_orbits))
     else:
         return None  # NoMatch-conservatism over Q
-    pts_p, pts_q = ([p for c in cycles for p in c] for cycles in (cycles_p, cycles_q))
-    if general_position_points(K, pts_p) is not True:
+    if collinear_triple(K_p, cycles_p) is not None:
         raise CollinearTriple("P contains a collinear triple")
-    if general_position_points(K, pts_q) is not True:
+    if collinear_triple(K_q, cycles_q) is not None:
         raise CollinearTriple("Q contains a collinear triple")
     if list(map(len, cycles_p)) != list(map(len, cycles_q)):
         raise FingerprintMismatch("Galois actions on the two sets are incompatible")
+    K = K_p
+    if K_p != K_q:
+        K = common_coordinate_field(base, P_orbits + Q_orbits)
+        cycles_p, cycles_q = (ordered(K, X) for X in (P_orbits, Q_orbits))
+    pts_p, pts_q = ([p for c in cycles for p in c] for cycles in (cycles_p, cycles_q))
     A = linalg.mat_mul(K, linalg.inv3(K, _frame(K, pts_q)[0]), _frame(K, pts_p)[0])
     return [[descend(K, base, x) for x in row] for row in _normalize_matrix(K, A)]
 
@@ -726,9 +708,7 @@ def large_orbit(field, delta, parity=None):
     if isinstance(field, Rationals):
         if d == 1:
             K = field
-            return explicit_orbit(
-                field, K, [(QQ.one, QQ.zero, QQ.zero)], check_gp=False
-            )
+            return explicit_orbit(field, K, [(QQ.one, QQ.zero, QQ.zero)])
         f = Poly(QQ, [-2] + [0] * (d - 1) + [1])
         return orbit_from_poly(field, f, CONIC)
     f = find_irreducible(field, d)

@@ -53,7 +53,7 @@ from .catalog import (
     mfs_from_json,
     mfs_to_json,
 )
-from .orbits import CONIC, LINE, PointOrbit, GP_NO, GP_YES
+from .orbits import CONIC, LINE, PointOrbit
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +626,7 @@ def make_center_pool(field, depths):
 
 
 def _stub_orbit(field, poly, template):
-    gp = GP_YES if template == CONIC or poly.degree < 3 else GP_NO
-    return PointOrbit(field, template, poly.degree, poly, general_position=gp)
+    return PointOrbit(field, template, poly.degree, poly)
 
 
 def make_link_template(field, poly):

@@ -605,6 +605,15 @@ def test_machine_word_prime(argv, capsys):
     assert json.loads(out) if code == 0 else "error" in json.loads(err.splitlines()[-1])
 
 
+def test_extension_without_irreducible_binomial(capsys):
+    # building F_{p^17}, p = 2^61 - 1, needs find_irreducible(F_p, 17): 17
+    # does not divide p - 1, so no x^17 + c is irreducible and the search
+    # skips those p candidates (Lidl-Niederreiter, Thm 3.75)
+    start = time.perf_counter()
+    assert contract(["field", "factor", "--field", f"F{P61 ** 17}", "--poly", "x+1"], capsys) == 0
+    assert time.perf_counter() - start < CONTRACT_SECONDS
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

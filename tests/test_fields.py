@@ -348,6 +348,14 @@ class TestCanonicalOrder:
             f = find_irreducible(F2, d)
             assert f.degree == d and is_irreducible(f)
 
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1)])
+    def test_least_of_the_whole_order(self, p, k):
+        # the binomials x^d + c that cannot hold an irreducible are skipped;
+        # the answer is still the least irreducible of the whole order
+        F = canonical_extension(PrimeField(p), k)
+        for d in range(2, 7):
+            assert find_irreducible(F, d) == next(f for f in monic_polys(F, d) if is_irreducible(f))
+
 
 class TestExtensionField:
     def test_tower(self):

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from cremona_kit import errors
+from cremona_kit import orbits as orbits_module
 from cremona_kit.fields import (
     ExtensionField,
     Poly,
@@ -12,6 +14,7 @@ from cremona_kit.fields import (
     canonical_extension,
     factor_over_prime_field,
     find_irreducible,
+    frobenius_conjugates,
     is_irreducible,
     poly_from_string,
     prime_power,
@@ -23,17 +26,16 @@ from cremona_kit.orbits import (
     EXPLICIT,
     GENERAL_POSITION_ONLY,
     GP_NO,
-    GP_UNKNOWN,
     GP_YES,
     LINE,
+    PointOrbit,
     SPLIT,
     apply_matrix,
     closed_point_count,
     common_coordinate_field,
     enumerate_point_orbits,
+    collinear_triple,
     explicit_orbit,
-    general_position_check,
-    general_position_points,
     large_orbit,
     lift_matrix,
     match_transform,
@@ -51,7 +53,7 @@ from cremona_kit.orbits import (
 )
 
 from cremona_kit.linalg import det3, mat_mul
-from cremona_kit.orbits import _cycles, _normalize_matrix
+from cremona_kit.orbits import _cycles, _normalize_matrix, _points_in
 from pgl3_sweep import pgl3_matrices, sweep_images
 from pgl3_walk import class_walk, partition, pgl3_generators, walk_partition
 
@@ -72,6 +74,11 @@ def field_of_size(q):
     return F if k == 1 else ExtensionField(F, find_irreducible(F, k).coeffs)
 
 
+def all_triples_gp(K, pts):
+    """Oracle: True when no three of pts are collinear, over all C(n, 3)."""
+    return all(det3(K, t) for t in itertools.combinations(pts, 3))
+
+
 @functools.lru_cache(maxsize=None)
 def census(q, n):
     return enumerate_point_orbits(PrimeField(q), n)
@@ -88,7 +95,7 @@ class TestOrbitFromPoly:
         assert o.size == 4 and o.general_position == GP_YES
         # oracle: collinearity determinants of all triples over F_16
         K, pts = materialize_points(o)
-        assert general_position_points(K, pts) is True
+        assert all_triples_gp(K, pts)
 
     def test_line_over_q(self):
         o = orbit_from_poly(QQ, P(QQ, "x^17-2"), LINE)
@@ -101,7 +108,7 @@ class TestOrbitFromPoly:
         assert o.size == 4 and o.general_position == GP_YES
         K, pts = materialize_points(o)
         assert len(pts) == 4
-        assert general_position_points(K, pts) is True
+        assert all_triples_gp(K, pts)
 
     def test_not_irreducible(self):
         with pytest.raises(errors.NotIrreducible):
@@ -119,42 +126,148 @@ class TestOrbitFromPoly:
         o = orbit_from_poly(QQ, P(QQ, "x^4-2"), CONIC)
         assert o.general_position == GP_YES
 
-    def test_split_over_q_unknown_at_construction(self):
+    def test_split_over_q_decided_at_construction(self):
         o = orbit_from_poly(QQ, P(QQ, "x^2-2"), SPLIT, second_poly=P(QQ, "x^2-3"))
-        assert o.general_position == GP_UNKNOWN
+        assert o.general_position == GP_YES
+
+
+def union_gp(orbits):
+    """collinear_triple on a union of orbits over one finite field."""
+    F = orbits[0].field
+    K = common_coordinate_field(F, orbits)
+    return collinear_triple(K, _cycles(K, _points_in(K, orbits), F.size()))
 
 
 class TestGeneralPosition:
+    """The one rule: conic and split always, line below 3 points, explicit
+    orbits by collinear_triple along Frobenius cycles."""
+
     def test_conic_yes(self):
         o = orbit_from_poly(F2, P(F2, "t^4+t+1"), CONIC)
-        verdict, witness = general_position_check([o])
-        assert verdict == GP_YES and witness is None
+        assert o.general_position == GP_YES
+        assert union_gp([o]) is None
 
     def test_collinear_triple_witnessed(self):
         one, zero = F2.one, F2.zero
-        o = explicit_orbit(
-            F2, F2, [(one, zero, zero), (zero, one, zero), (one, one, zero)]
-        )
-        verdict, witness = general_position_check([o])
-        assert verdict == GP_NO and len(witness) == 3
+        pts = [(one, zero, zero), (zero, one, zero), (one, one, zero)]
+        o = explicit_orbit(F2, F2, pts)
+        assert o.general_position == GP_NO
+        witness = collinear_triple(F2, [[p] for p in o.points])
+        assert sorted(witness) == sorted(pts) and not det3(F2, witness)
 
     def test_split_f2_yes(self):
         f = P(F2, "x^2+x+1")
         o = orbit_from_poly(F2, f, SPLIT, second_poly=f)
-        verdict, _ = general_position_check([o])
-        assert verdict == GP_YES
+        assert o.general_position == GP_YES
+        assert union_gp([o]) is None
 
     def test_split_over_q_symbolic(self):
         o = orbit_from_poly(QQ, P(QQ, "x^2-2"), SPLIT, second_poly=P(QQ, "x^2-2"))
-        verdict, _ = general_position_check([o])
-        assert verdict == GP_YES
+        assert o.general_position == GP_YES
 
-    def test_explicit_over_q_rejected(self):
-        o = explicit_orbit(QQ, QQ, [(QQ.one, QQ.zero, QQ.zero)], check_gp=False)
-        oo = explicit_orbit(QQ, QQ, [(QQ.zero, QQ.one, QQ.zero)], check_gp=False)
-        o3 = explicit_orbit(QQ, QQ, [(QQ.zero, QQ.zero, QQ.one)], check_gp=False)
-        with pytest.raises(errors.UncomputableOverQ):
-            general_position_check([o, oo, o3])
+    def test_explicit_over_q_decided(self):
+        # rational points decide over Q: one cycle per point
+        one, zero = QQ.one, QQ.zero
+        frame = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+        singles = [explicit_orbit(QQ, QQ, [p]) for p in frame]
+        assert [o.general_position for o in singles] == [GP_YES] * 3
+        assert collinear_triple(QQ, [o.points for o in singles]) is None
+        assert explicit_orbit(QQ, QQ, frame).general_position == GP_YES
+        on_line = frame[:2] + [(one, QQ.from_int(5), zero)]
+        assert explicit_orbit(QQ, QQ, on_line).general_position == GP_NO
+
+    def test_union_of_mixed_cycles(self):
+        # a degree-2 and a degree-3 orbit on the line z = 0 are collinear
+        # together though each alone has at most 3 points
+        two, three = (canonical_extension(F2, d) for d in (2, 3))
+        on_line = [
+            explicit_orbit(F2, K, [(K.one, r, K.zero) for r in roots_in_field(P(F2, f), K)])
+            for K, f in ((two, "t^2+t+1"), (three, "t^3+t+1"))
+        ]
+        assert [o.general_position for o in on_line] == [GP_YES, GP_NO]
+        witness = union_gp(on_line)
+        assert witness is not None and all(p[2] == () for p in witness)
+        conic = orbit_from_poly(F2, P(F2, "t^3+t+1"), CONIC)
+        assert union_gp([on_line[0], conic]) is None
+
+    def test_given_value_must_agree(self):
+        f = P(F2, "t^3+t+1")
+        assert PointOrbit(F2, LINE, 3, f, general_position=GP_NO).general_position == GP_NO
+        with pytest.raises(errors.BadInput):
+            PointOrbit(F2, LINE, 3, f, general_position=GP_YES)
+        with pytest.raises(errors.BadInput):
+            PointOrbit(F2, CONIC, 3, f, general_position="unknown")
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, "Q"])
+    def test_templates_match_all_triples(self, q):
+        # every template's decided answer against all C(n, 3) triples of
+        # its points; over Q on rational explicit points only
+        F, rng = QQ if q == "Q" else field_of_size(q), random.Random(str(q))
+        if q == "Q":  # symbolic templates by the rule, explicit by oracle
+            x4 = P(QQ, "x^4-2")
+            assert orbit_from_poly(QQ, x4, CONIC).general_position == GP_YES
+            assert orbit_from_poly(QQ, x4, LINE).general_position == GP_NO
+            assert orbit_from_poly(QQ, P(QQ, "x^2-2"), LINE).general_position == GP_YES
+            for pts in itertools.combinations(
+                [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0), (1, -1, 3)], 4
+            ):
+                pts = [tuple(QQ.from_int(c) for c in p) for p in pts]
+                o = explicit_orbit(QQ, QQ, pts)
+                assert (o.general_position == GP_YES) == all_triples_gp(QQ, o.points)
+            return
+        built = []
+        for d in (1, 2, 3, 4, 5):
+            f = seeded_irreducible(F, d, rng)
+            built += [orbit_from_poly(F, f, CONIC), orbit_from_poly(F, f, LINE)]
+        for _ in range(3):
+            f, g = seeded_irreducible(F, 2, rng), seeded_irreducible(F, 2, rng)
+            built.append(orbit_from_poly(F, f, SPLIT, second_poly=g))
+        while True:
+            M = [[F.from_packed_int(rng.randrange(F.size())) for _ in range(3)] for _ in range(3)]
+            if det3(F, M):
+                break
+        for o in built[4:8]:  # conic and line orbits of 3 and 4 points, moved
+            K, pts = materialize_points(o)
+            rows = lift_matrix(K, F, M)
+            built.append(explicit_orbit(F, K, [apply_matrix(K, rows, p) for p in pts]))
+        for o in built:
+            K, pts = materialize_points(o)
+            assert (o.general_position == GP_YES) == all_triples_gp(K, pts), o
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (7, 2)])
+    def test_cycles_match_all_triples_on_census(self, q, n):
+        for o in census(q, n):
+            assert (o.general_position == GP_YES) == all_triples_gp(o.coord_field, o.points)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_cycles_match_all_triples_on_seeded_unions(self, q):
+        F, rng = field_of_size(q), random.Random(q)
+        for _ in range(12):
+            X = [TestMatchCycleTypes.closed_point(F, rng.choice((1, 2, 3)), rng)
+                 for _ in range(rng.randint(2, 4))]
+            K = common_coordinate_field(F, X)
+            pts = _points_in(K, X)
+            if len(set(pts)) == len(pts):
+                assert (union_gp(X) is None) == all_triples_gp(K, pts)
+
+    def test_json_claim_ignored(self):
+        # a collinear explicit orbit claiming "yes" reads back "no"
+        one, zero = F2.one, F2.zero
+        o = explicit_orbit(F2, F2, [(one, zero, zero), (zero, one, zero), (one, one, zero)])
+        back = orbit_from_json({**orbit_to_json(o), "general_position": GP_YES})
+        assert o.general_position == back.general_position == GP_NO
+
+    def test_explicit_64_points_from_json(self):
+        # one Frobenius cycle of 64 points over F_{2^64}: C(63, 2) triples
+        # through its first point instead of C(64, 3)
+        K = canonical_extension(F2, 64)
+        g = K.gen()
+        cycle = [(K.one, c, K.mul(c, c)) for c in frobenius_conjugates(K, g, 2)]
+        obj = orbit_to_json(explicit_orbit(F2, K, cycle))
+        start = time.perf_counter()
+        back = orbit_from_json({**obj, "general_position": GP_NO})
+        assert time.perf_counter() - start < 3.0
+        assert back.size == 64 and back.general_position == GP_YES
 
     def test_pgl3_invariance(self):
         rng = random.Random(3)
@@ -162,11 +275,10 @@ class TestGeneralPosition:
         mats = pgl3_matrices(F2)
         for o in rng.sample(orbits, 6):
             K, pts = materialize_points(o)
-            base_verdict = general_position_points(K, pts) is True
             M = rng.choice(mats)
             rows = lift_matrix(K, F2, M)
-            image = [apply_matrix(K, rows, p) for p in pts]
-            assert (general_position_points(K, image) is True) == base_verdict
+            image = explicit_orbit(F2, K, [apply_matrix(K, rows, p) for p in pts])
+            assert image.general_position == o.general_position
 
 
 class TestEnumeration:
@@ -419,7 +531,7 @@ class TestMatchCycleTypes:
             X = [self.closed_point(F, d, rng) for d in cycle_type]
             K = common_coordinate_field(F, X)
             pts = [p for o in X for p in materialize_points(o, K=K)[1]]
-            if len(set(pts)) == 4 and general_position_points(K, pts) is True:
+            if len(set(pts)) == 4 and all_triples_gp(K, pts):
                 return X
 
     @staticmethod
@@ -454,6 +566,20 @@ class TestMatchCycleTypes:
                 if u != t:
                     with pytest.raises(errors.FingerprintMismatch):
                         match_transform(X, Y)
+
+
+    def test_mismatch_builds_no_compositum(self, monkeypatch):
+        # a (1,3) set against a (4) set over F9: the cycle types are read in
+        # each set's own field, so F_{9^12} is never built
+        F, rng = field_of_size(9), random.Random(9)
+        X, Y = self.point_set(F, (1, 3), rng), self.point_set(F, (4,), rng)
+        built, real = [], orbits_module.canonical_extension
+        monkeypatch.setattr(
+            orbits_module, "canonical_extension", lambda base, n: built.append(n) or real(base, n)
+        )
+        with pytest.raises(errors.FingerprintMismatch):
+            match_transform(X, Y)
+        assert 12 not in built
 
 
 class TestLargeOrbit:
