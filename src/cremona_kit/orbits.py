@@ -99,8 +99,10 @@ class PointOrbit:
         conic parameters are never collinear.  split: the collinearity
         determinants are b(a2-a1) and a(b2-b1), and the roots of an
         irreducible quadratic are distinct and nonzero.  line: every point
-        has x = 0.  explicit: the points decide."""
+        has x = 0.  explicit: the points decide, and must be distinct."""
         gp = GP_NO if self.template == LINE and self.size >= 3 else GP_YES
+        if self.template == EXPLICIT and len(set(self.points)) != len(self.points):
+            raise BadInput("explicit points must be distinct")
         if self.template == EXPLICIT and self.size >= 3:
             K, base = self.coord_field, self.field
             if base.is_finite():

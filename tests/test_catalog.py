@@ -478,6 +478,16 @@ class TestJson:
                  "general_position": "no"}
         assert mfs_from_json({"kind": "CB5", "orbit": frame}).kind == "CB5"
 
+    def test_cb5_repeated_point_refused(self):
+        # over F2 a repeated rational point is its own Frobenius cycle twice;
+        # the 3 distinct points must not pass for a CB5 set of 4
+        points = [["1", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        orbit = {"field": {"kind": "Fp", "p": 2}, "template": "explicit", "size": 4,
+                 "min_poly": {"field": {"kind": "Fp", "p": 2}, "coeffs": ["0", "1"]},
+                 "points": points}
+        with pytest.raises(errors.BadInput):
+            mfs_from_json({"kind": "CB5", "orbit": orbit})
+
     def test_link_roundtrip(self):
         l = cb_link(5)
         back = link_from_json(link_to_json(l))

@@ -257,6 +257,19 @@ class TestGeneralPosition:
         back = orbit_from_json({**orbit_to_json(o), "general_position": GP_YES})
         assert o.general_position == back.general_position == GP_NO
 
+    @pytest.mark.parametrize("field,scale", [(F2, 1), (F3, 2), (QQ, 2)])
+    def test_repeated_point_refused(self, field, scale):
+        # a repeated point, also up to scaling, is refused over every field
+        one, zero, c = field.one, field.zero, field.from_int(scale)
+        pts = [(one, zero, zero), (c, zero, zero), (zero, one, zero), (zero, zero, one)]
+        with pytest.raises(errors.BadInput, match="distinct"):
+            explicit_orbit(field, field, pts)
+        obj = orbit_to_json(explicit_orbit(field, field, pts[1:]))
+        obj["points"].insert(0, list(obj["points"][0]))
+        obj["size"] = 4
+        with pytest.raises(errors.BadInput, match="distinct"):
+            orbit_from_json(obj)
+
     def test_explicit_64_points_from_json(self):
         # one Frobenius cycle of 64 points over F_{2^64}: C(63, 2) triples
         # through its first point instead of C(64, 3)
@@ -279,6 +292,7 @@ class TestGeneralPosition:
             rows = lift_matrix(K, F2, M)
             image = explicit_orbit(F2, K, [apply_matrix(K, rows, p) for p in pts])
             assert image.general_position == o.general_position
+            assert (image.general_position == GP_YES) == all_triples_gp(K, image.points)
 
 
 class TestEnumeration:
