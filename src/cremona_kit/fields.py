@@ -33,6 +33,7 @@ from fractions import Fraction
 import itertools
 import operator
 import random
+import weakref
 
 from .errors import (
     BadInput,
@@ -275,6 +276,16 @@ class PrimeField(Field):
         return f"F{self.p}"
 
 
+class _Tables:
+    """The log/exp tables of one (base, modulus), weakly referable so that
+    the base's memo drops them with the last field that uses them."""
+
+    __slots__ = ("exp", "log", "__weakref__")
+
+    def __init__(self, exp, log):
+        self.exp, self.log = exp, log
+
+
 class ExtensionField(Field):
     """base[t]/(modulus); modulus monic irreducible over base.
 
@@ -285,7 +296,10 @@ class ExtensionField(Field):
     neg, _mul_raw and to_int work on them inline (``self._p``); over any
     other base they go through the base field's own operations.  Fields of
     at most _TABLE_LIMIT elements multiply, invert and raise to powers
-    through log/exp tables built on first use and kept on the instance.
+    through log/exp tables built on first use and shared per live (base,
+    modulus): equal fields on one base object use one table, which lives
+    while some field uses it.  A tower table's coefficients are shared base
+    elements, one object per value.
     """
 
     kind = "Fq"
@@ -314,6 +328,7 @@ class ExtensionField(Field):
         self.one = (base.one,)
         self._log = None  # lazy log/exp tables for small fields
         self._exp = None
+        self._tables = None  # their holder, shared with equal fields
         # reduction table: t^(degree+i) mod modulus, i = 0..degree-1
         self._red = []
         top = [base.neg(c) for c in mod[:-1]]
@@ -390,16 +405,32 @@ class ExtensionField(Field):
     _TABLE_LIMIT = 65536
 
     def _ensure_tables(self):
-        """log/exp tables over the first primitive element g in elements()
-        order (small fields).  The powers of g are walked as coordinate
-        vectors over F_p under the F_p-linear map x -> g*x: one dot product
-        over ints per coordinate and step instead of a field product."""
+        """log/exp tables over the first primitive element in elements()
+        order (small fields).  They are a pure function of (base, modulus),
+        so equal fields on one base share them through a weak memo on the
+        base, named apart from the table attributes of a tower base."""
         if self._exp is not None:
             return True
         q = self.q
         if q is None or q > self._TABLE_LIMIT:
             return False
-        one, primes = self.one, _prime_divisors(q - 1)
+        memo = getattr(self.base, "_ext_tables", None)
+        if memo is None:  # set, not base.__dict__, as in canonical_extension
+            memo = self.base._ext_tables = weakref.WeakValueDictionary()
+        tables = memo.get(self.modulus)
+        if tables is None:
+            tables = memo[self.modulus] = self._build_tables()
+        self._tables = tables  # keeps the memo entry alive with this field
+        self._exp, self._log = tables.exp, tables.log
+        return True
+
+    def _build_tables(self):
+        """The powers of the first primitive element g, walked as coordinate
+        vectors over F_p under the F_p-linear map x -> g*x: one dot product
+        over ints per coordinate and step instead of a field product.  Over
+        an extension base each coefficient is read from one list of the
+        base's elements, so equal coefficients are one object."""
+        q, one, primes = self.q, self.one, _prime_divisors(self.q - 1)
         g = next(
             c for c in self.elements()
             if c and all(Field.pow(self, c, (q - 1) // r) != one for r in primes)
@@ -417,17 +448,25 @@ class ExtensionField(Field):
                 col.append(r)
             cols.append(col)
         rows = list(zip(*cols))
-        exp = [one]
-        v = unit = [1] + [0] * (len(basis) - 1)
-        for _ in range(q - 2):
+        trim, tower = self._trim, not self._p
+        if tower:  # k coordinates per coefficient, least significant first
+            elems = [self.base.from_packed_int(i) for i in range(self.base.size())]
+            k = len(basis) // self.degree
+            weights = [p ** j for j in range(k)]
+            starts = range(0, len(basis), k)
+        unit = [1] + [0] * (len(basis) - 1)
+        exp, v = [], unit
+        for _ in range(q - 1):
+            if tower:
+                exp.append(trim([elems[sum(map(operator.mul, weights, v[i:i + k]))] for i in starts]))
+            else:
+                exp.append(trim(v))
             v = [sum(map(operator.mul, row, v)) % p for row in rows]
-            exp.append(self._from_digits(v))
         log = {e: i for i, e in enumerate(exp)}
-        if len(log) != q - 1 or [sum(map(operator.mul, row, v)) % p for row in rows] != unit:
+        if len(log) != q - 1 or v != unit:
             # g has order q - 1 and its powers are distinct only in a field
             raise NotIrreducible(f"modulus {Poly(self.base, self.modulus)} is reducible")
-        self._exp, self._log = exp, log
-        return True
+        return _Tables(exp, log)
 
     def mul(self, a, b):
         if not a or not b:
@@ -531,15 +570,6 @@ class ExtensionField(Field):
             n, r = divmod(n, b)
             coeffs.append(self.base.from_packed_int(r))
         return self._trim(tuple(coeffs))
-
-    def _from_digits(self, v):
-        """The element whose coordinates over F_p, least significant first
-        as in to_int, are the ints v."""
-        if self._p:
-            return self._trim(v)
-        k = len(v) // self.degree
-        from_digits = self.base._from_digits
-        return self._trim([from_digits(v[i:i + k]) for i in range(0, len(v), k)])
 
     def elem_to_str(self, a):
         return str(self.to_int(a))
@@ -902,11 +932,21 @@ def find_irreducible(field, degree):
     # the counter's first q values are the binomials x^d + c; x^d - a is
     # irreducible only if every prime factor of d divides q - 1, and 4 does
     # when 4 divides d (Lidl-Niederreiter, Thm 3.75): else skip them
-    q = field.size()
+    q, p = field.size(), field.characteristic()
     binomials = all((q - 1) % r == 0 for r in _prime_divisors(degree)) and (
         degree % 4 != 0 or (q - 1) % 4 == 0
     )
-    for cand in monic_polys(field, degree, start=0 if binomials else q):
+    start = 0 if binomials else q
+    # for d = p^m, m >= 2, the first q^e values (e = 3 if p = 2, else 2) are
+    # L(x) - a with L p-linearized (Lidl-Niederreiter, 3.4): a p-th power, or
+    # roots on a coset of F_p^m that Frobenius moves by an element of
+    # AGL(m, p), which has no p^m-cycle unless p^m = 4: skip them too
+    m, r = 0, degree
+    while r % p == 0:
+        m, r = m + 1, r // p
+    if r == 1 and m >= 2 and degree != 4:
+        start = q ** (3 if p == 2 else 2)
+    for cand in monic_polys(field, degree, start=start):
         if is_irreducible(cand):
             return cand
     raise NotIrreducible(f"no irreducible of degree {degree} over {field}")
@@ -916,8 +956,9 @@ def canonical_extension(base, n):
     """base[t]/(find_irreducible(base, n)), and base itself for n = 1.
 
     The field is a pure function of (base, n), so it is kept on the base
-    instance: every caller with this base gets the same object, and its
-    log/exp tables are built once and live as long as the base does."""
+    instance: every caller with this base gets the same object, and it
+    keeps its log/exp tables, shared with any equal field on this base,
+    alive as long as the base lives."""
     if n == 1:
         return base
     if n > EXT_DEGREE_CAP:  # refused before the search for the modulus

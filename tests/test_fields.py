@@ -1,5 +1,11 @@
 from fractions import Fraction
+import gc
+import hashlib
+import itertools
+import json
 import random
+import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +37,7 @@ from cremona_kit.fields import (
     poly_from_json,
     poly_from_string,
     poly_to_json,
+    prime_power,
     sylvester_resultant,
 )
 from minpoly_solve import minimal_polynomial_by_solve
@@ -357,6 +364,59 @@ class TestCanonicalOrder:
             assert find_irreducible(F, d) == next(f for f in monic_polys(F, d) if is_irreducible(f))
 
 
+# find_irreducible(F64, 8), the least irreducible found by the full search
+F64_DEGREE_8 = [3, 1, 0, 1, 0, 0, 0, 0, 1]
+SLOW_SEARCHES = {(81, 6), (27, 7), (64, 6), (64, 4), (32, 5), (64, 8)}
+LEAST_IRREDUCIBLES_SHA256 = "d8cbace689db01c2d1a350b4639f64d2929a80c3371337585895ab4671afbe97"
+
+
+class TestAffineSkip:
+    """For d = p^m, m >= 2, d != 4, find_irreducible skips the affine
+    p-polynomials x^d + c_{e-1} x^{e-1} + ... + c_0 (e = 3 if p = 2, else 2)."""
+
+    @pytest.mark.parametrize("q,d", [(2, 8), (4, 8), (3, 9), (2, 16)])
+    def test_skipped_candidates_are_reducible(self, q, d):
+        p, k = prime_power(q)
+        F = canonical_extension(PrimeField(p), k)
+        e = 3 if p == 2 else 2
+        divisors = [f for n in range(1, d // 2 + 1) for f in monic_polys(F, n)]
+        for cand in itertools.islice(monic_polys(F, d), q ** e):
+            assert any((cand % f).is_zero() for f in divisors), cand
+
+    def test_f64_degree_8_in_bounded_time(self):
+        # 262,144 affine candidates come first; a Rabin test of each over
+        # F64 takes about 27 minutes on a 2-core host
+        def overtime(signum, frame):
+            raise TimeoutError("find_irreducible(F64, 8) ran past 10 s")
+
+        F64 = canonical_extension(PrimeField(2), 6)
+        previous = signal.signal(signal.SIGALRM, overtime)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            f = find_irreducible(F64, 8)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [F64.to_int(c) for c in f.coeffs] == F64_DEGREE_8
+
+    def test_answers_unchanged(self):
+        # the least irreducibles over every F_q, q <= 101, d <= 8, as the
+        # search that tests every candidate finds them; SLOW_SEARCHES take over
+        # a second each on paths the skip does not touch, and (64, 8) is
+        # checked above
+        answers = {}
+        for q in range(2, 102):
+            split = prime_power(q)
+            if split is None:
+                continue
+            F = canonical_extension(PrimeField(split[0]), split[1])
+            for d in range(1, 9):
+                if (q, d) not in SLOW_SEARCHES:
+                    answers[f"{q},{d}"] = [F.to_int(c) for c in find_irreducible(F, d).coeffs]
+        digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
+        assert digest == LEAST_IRREDUCIBLES_SHA256
+
+
 class TestExtensionField:
     def test_tower(self):
         F16 = ExtensionField(F2, P(F2, "t^4+t+1").coeffs)
@@ -457,6 +517,89 @@ class TestExtensionField:
         R = ExtensionField(F2, (1, 0, 1), check=False)
         with pytest.raises(errors.NotIrreducible):
             R.inv((1, 1))
+
+
+def _fresh_tower(name):
+    """A fresh tower field over a fresh base, so that no other live field
+    shares its tables."""
+    (p, k), m = {"F16/F4": ((2, 2), 2), "F64/F8": ((2, 3), 2), "F81/F9": ((3, 2), 2),
+                 "F8^4": ((2, 3), 4), "F9^4": ((3, 2), 4)}[name]
+    base = ExtensionField(PrimeField(p), find_irreducible(PrimeField(p), k).coeffs)
+    return ExtensionField(base, find_irreducible(base, m).coeffs)
+
+
+def _raw_pow(K, a, e):
+    acc = K.one
+    for bit in bin(e)[2:]:
+        acc = K._mul_raw(acc, acc)
+        if bit == "1":
+            acc = K._mul_raw(acc, a)
+    return acc
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("name", ["F16/F4", "F64/F8", "F81/F9", "F8^4", "F9^4"])
+    def test_tower_tables(self, name):
+        K = _fresh_tower(name)
+        q = K.size()
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % s for s in range(2, r))]
+        g = next(e for e in K.elements()
+                 if e and all(_raw_pow(K, e, (q - 1) // r) != K.one for r in primes))
+        K._ensure_tables()
+        assert len(K._exp) == q - 1 and all(K._log[K._exp[i]] == i for i in range(q - 1))
+        # exp[i] is the i-th raw power of the first primitive element:
+        # every one of them for the small fields, a sample for F_{8^4}, F_{9^4}
+        indices = range(q - 1) if q <= 256 else random.Random(name).sample(range(q - 1), 300)
+        for i in indices:
+            assert K._exp[i] == _raw_pow(K, g, i)
+        # one object per coefficient value, read from the base's elements
+        coeffs = [c for e in K._exp for c in e]
+        assert len({id(c) for c in coeffs}) == len(set(coeffs)) == K.base.size()
+
+    def test_equal_live_fields_share_one_table(self):
+        A = _fresh_tower("F81/F9")
+        base = A.base
+        B = ExtensionField(base, A.modulus, check=False)
+        assert A.inv(A.gen()) == B.inv(B.gen())  # inv builds the tables
+        assert A._exp is B._exp and A._log is B._log
+        # an equal base built apart keeps its own memo
+        C = _fresh_tower("F81/F9")
+        C._ensure_tables()
+        assert C == A and C._exp is not A._exp and C._exp == A._exp
+        del A, B
+        gc.collect()
+        assert len(base._ext_tables) == 0
+
+    def test_memo_holds_only_live_tables(self):
+        F4 = canonical_extension(PrimeField(2), 2)
+        moduli = [f.coeffs for f in itertools.islice(
+            (f for f in monic_polys(F4, 4) if is_irreducible(f)), 50)]
+        assert len(set(moduli)) == 50
+        for m in moduli:  # built and dropped one by one
+            ExtensionField(F4, m, check=False)._ensure_tables()
+        gc.collect()
+        assert len(F4._ext_tables) == 0
+        kept = [ExtensionField(F4, m, check=False) for m in moduli]
+        for K in kept:
+            K._ensure_tables()
+        assert len(F4._ext_tables) == 50
+        del kept, K
+        gc.collect()
+        assert len(F4._ext_tables) == 0
+
+    @pytest.mark.parametrize("name,limit_mib", [("F9^4", 1.2), ("F8^4", 0.75)])
+    def test_table_memory(self, name, limit_mib):
+        # about 0.95 and 0.56 MiB with shared base elements; a fresh tuple
+        # per coefficient takes 2.15 and 1.37 MiB
+        K = _fresh_tower(name)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            K._ensure_tables()
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used < limit_mib * 2**20
 
 
 def _power_walk(mul, one, a, steps):
