@@ -33,7 +33,6 @@ from fractions import Fraction
 import itertools
 import operator
 import random
-import weakref
 
 from .errors import (
     BadInput,
@@ -276,16 +275,6 @@ class PrimeField(Field):
         return f"F{self.p}"
 
 
-class _Tables:
-    """The log/exp tables of one (base, modulus), weakly referable so that
-    the base's memo drops them with the last field that uses them."""
-
-    __slots__ = ("exp", "log", "__weakref__")
-
-    def __init__(self, exp, log):
-        self.exp, self.log = exp, log
-
-
 class ExtensionField(Field):
     """base[t]/(modulus); modulus monic irreducible over base.
 
@@ -296,10 +285,9 @@ class ExtensionField(Field):
     neg, _mul_raw and to_int work on them inline (``self._p``); over any
     other base they go through the base field's own operations.  Fields of
     at most _TABLE_LIMIT elements multiply, invert and raise to powers
-    through log/exp tables built on first use and shared per live (base,
-    modulus): equal fields on one base object use one table, which lives
-    while some field uses it.  A tower table's coefficients are shared base
-    elements, one object per value.
+    through log/exp tables built on first use and kept on the instance; a
+    tower table's coefficients are shared base elements, one object per
+    value.
     """
 
     kind = "Fq"
@@ -328,7 +316,6 @@ class ExtensionField(Field):
         self.one = (base.one,)
         self._log = None  # lazy log/exp tables for small fields
         self._exp = None
-        self._tables = None  # their holder, shared with equal fields
         # reduction table: t^(degree+i) mod modulus, i = 0..degree-1
         self._red = []
         top = [base.neg(c) for c in mod[:-1]]
@@ -405,32 +392,18 @@ class ExtensionField(Field):
     _TABLE_LIMIT = 65536
 
     def _ensure_tables(self):
-        """log/exp tables over the first primitive element in elements()
-        order (small fields).  They are a pure function of (base, modulus),
-        so equal fields on one base share them through a weak memo on the
-        base, named apart from the table attributes of a tower base."""
+        """log/exp tables over the first primitive element g in elements()
+        order (small fields).  The powers of g are walked as coordinate
+        vectors over F_p under the F_p-linear map x -> g*x: one dot product
+        over ints per coordinate and step instead of a field product.  Over
+        an extension base each coefficient is read from one list of the
+        base's elements, so equal coefficients are one object."""
         if self._exp is not None:
             return True
         q = self.q
         if q is None or q > self._TABLE_LIMIT:
             return False
-        memo = getattr(self.base, "_ext_tables", None)
-        if memo is None:  # set, not base.__dict__, as in canonical_extension
-            memo = self.base._ext_tables = weakref.WeakValueDictionary()
-        tables = memo.get(self.modulus)
-        if tables is None:
-            tables = memo[self.modulus] = self._build_tables()
-        self._tables = tables  # keeps the memo entry alive with this field
-        self._exp, self._log = tables.exp, tables.log
-        return True
-
-    def _build_tables(self):
-        """The powers of the first primitive element g, walked as coordinate
-        vectors over F_p under the F_p-linear map x -> g*x: one dot product
-        over ints per coordinate and step instead of a field product.  Over
-        an extension base each coefficient is read from one list of the
-        base's elements, so equal coefficients are one object."""
-        q, one, primes = self.q, self.one, _prime_divisors(self.q - 1)
+        one, primes = self.one, _prime_divisors(q - 1)
         g = next(
             c for c in self.elements()
             if c and all(Field.pow(self, c, (q - 1) // r) != one for r in primes)
@@ -466,7 +439,8 @@ class ExtensionField(Field):
         if len(log) != q - 1 or v != unit:
             # g has order q - 1 and its powers are distinct only in a field
             raise NotIrreducible(f"modulus {Poly(self.base, self.modulus)} is reducible")
-        return _Tables(exp, log)
+        self._exp, self._log = exp, log
+        return True
 
     def mul(self, a, b):
         if not a or not b:
@@ -956,9 +930,8 @@ def canonical_extension(base, n):
     """base[t]/(find_irreducible(base, n)), and base itself for n = 1.
 
     The field is a pure function of (base, n), so it is kept on the base
-    instance: every caller with this base gets the same object, and it
-    keeps its log/exp tables, shared with any equal field on this base,
-    alive as long as the base lives."""
+    instance: every caller with this base gets the same object, and its
+    log/exp tables are built once and live as long as the base does."""
     if n == 1:
         return base
     if n > EXT_DEGREE_CAP:  # refused before the search for the modulus

@@ -520,8 +520,7 @@ class TestExtensionField:
 
 
 def _fresh_tower(name):
-    """A fresh tower field over a fresh base, so that no other live field
-    shares its tables."""
+    """A fresh tower field over a fresh base, its tables not yet built."""
     (p, k), m = {"F16/F4": ((2, 2), 2), "F64/F8": ((2, 3), 2), "F81/F9": ((3, 2), 2),
                  "F8^4": ((2, 3), 4), "F9^4": ((3, 2), 4)}[name]
     base = ExtensionField(PrimeField(p), find_irreducible(PrimeField(p), k).coeffs)
@@ -537,7 +536,7 @@ def _raw_pow(K, a, e):
     return acc
 
 
-class TestSharedTables:
+class TestTowerTables:
     @pytest.mark.parametrize("name", ["F16/F4", "F64/F8", "F81/F9", "F8^4", "F9^4"])
     def test_tower_tables(self, name):
         K = _fresh_tower(name)
@@ -555,37 +554,6 @@ class TestSharedTables:
         # one object per coefficient value, read from the base's elements
         coeffs = [c for e in K._exp for c in e]
         assert len({id(c) for c in coeffs}) == len(set(coeffs)) == K.base.size()
-
-    def test_equal_live_fields_share_one_table(self):
-        A = _fresh_tower("F81/F9")
-        base = A.base
-        B = ExtensionField(base, A.modulus, check=False)
-        assert A.inv(A.gen()) == B.inv(B.gen())  # inv builds the tables
-        assert A._exp is B._exp and A._log is B._log
-        # an equal base built apart keeps its own memo
-        C = _fresh_tower("F81/F9")
-        C._ensure_tables()
-        assert C == A and C._exp is not A._exp and C._exp == A._exp
-        del A, B
-        gc.collect()
-        assert len(base._ext_tables) == 0
-
-    def test_memo_holds_only_live_tables(self):
-        F4 = canonical_extension(PrimeField(2), 2)
-        moduli = [f.coeffs for f in itertools.islice(
-            (f for f in monic_polys(F4, 4) if is_irreducible(f)), 50)]
-        assert len(set(moduli)) == 50
-        for m in moduli:  # built and dropped one by one
-            ExtensionField(F4, m, check=False)._ensure_tables()
-        gc.collect()
-        assert len(F4._ext_tables) == 0
-        kept = [ExtensionField(F4, m, check=False) for m in moduli]
-        for K in kept:
-            K._ensure_tables()
-        assert len(F4._ext_tables) == 50
-        del kept, K
-        gc.collect()
-        assert len(F4._ext_tables) == 0
 
     @pytest.mark.parametrize("name,limit_mib", [("F9^4", 1.2), ("F8^4", 0.75)])
     def test_table_memory(self, name, limit_mib):
